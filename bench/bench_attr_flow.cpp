@@ -1,5 +1,5 @@
 // Measures the interned copy-on-write attribute flow end-to-end: one
-// AttrsPtr travels decode -> import hook -> Loc-RIB -> export hook -> wire,
+// AttrsPtr travels decode -> import hook -> Loc-RIB -> export class -> wire,
 // cloned only at mutation points and serialized once per (attribute set,
 // codec options) by the pool's encode cache.
 //

@@ -3,10 +3,12 @@
 // test is the per-session export cost — with update groups the policy,
 // transform, and wire encoding run once per group and each member only
 // pays for splice + transmit, so the cost per session must drop as the
-// group grows. The ungrouped run (every session a singleton group) is the
-// per-peer reference the refactor replaced; the binary exits non-zero if
-// grouping does not beat it, and checks the two modes stay behaviorally
-// identical (same UPDATE count).
+// group grows. The ungrouped run is the per-peer reference the refactor
+// replaced: each session holds its own, content-identical ExportClass
+// instance, and descriptor identity keys the group fingerprint, so every
+// session is a singleton group. The binary exits non-zero if grouping does
+// not beat it, and checks the two modes stay behaviorally identical (same
+// UPDATE count).
 //
 // Results are mirrored into BENCH_fanout.json (see bench_util.h).
 #include <chrono>
@@ -90,10 +92,9 @@ struct FanoutResult {
   double us_per_session_export = 0;
 };
 
-FanoutResult measure(std::size_t session_count, bool group_exports) {
+FanoutResult measure(std::size_t session_count, bool grouped) {
   sim::EventLoop loop;
-  bgp::BgpSpeaker hub(&loop, "pop", 47065, Ipv4Address(10, 255, 9, 1),
-                      bgp::PipelineConfig{.group_exports = group_exports});
+  bgp::BgpSpeaker hub(&loop, "pop", 47065, Ipv4Address(10, 255, 9, 1));
 
   std::vector<std::unique_ptr<SinkPeer>> sinks;
   sinks.reserve(session_count);
@@ -104,7 +105,9 @@ FanoutResult measure(std::size_t session_count, bool group_exports) {
         {.name = sink_name,
          .peer_asn = static_cast<bgp::Asn>(64512 + i),
          .local_address = Ipv4Address(10, static_cast<std::uint8_t>(i >> 8),
-                                      static_cast<std::uint8_t>(i & 255), 1)});
+                                      static_cast<std::uint8_t>(i & 255), 1),
+         .export_class = grouped ? nullptr
+                                 : std::make_shared<const bgp::ExportClass>()});
     auto streams = sim::StreamChannel::make(&loop, Duration::micros(10));
     hub.connect_peer(peer, streams.a);
     sinks.push_back(std::make_unique<SinkPeer>(

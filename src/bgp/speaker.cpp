@@ -87,8 +87,6 @@ struct BgpSpeaker::Session {
   std::uint64_t group = 0;
   std::uint64_t group_cursor = 0;
   bool needs_full = false;
-  /// Export-hook class registered via set_peer_export_class (0 = opaque).
-  std::uint64_t export_class = 0;
   bool flush_scheduled = false;
   SimTime flush_at;
   SimTime next_flush_allowed;
@@ -111,7 +109,7 @@ struct BgpSpeaker::Session {
 };
 
 /// An update group: sessions whose export fingerprints match share one
-/// delta log, one policy/hook evaluation per advert, and one encoded
+/// delta log, one policy/class evaluation per advert, and one encoded
 /// template per (advert, codec options). Members diff and transmit
 /// individually from per-member cursors into the shared log.
 struct BgpSpeaker::ExportGroup {
@@ -133,9 +131,9 @@ struct BgpSpeaker::ExportGroup {
 
   /// Per-(source attrs, origin) transform memo: the group-level export
   /// chain is a pure function of those once the policy is
-  /// prefix-independent and no export hook is installed. A null result
-  /// records suppression. Values pin pool entries, so the speaker clears
-  /// every memo before sweeping the pool.
+  /// prefix-independent, given the class's owner state at `memo_version`.
+  /// A null result records suppression. Values pin pool entries, so the
+  /// speaker clears every memo before sweeping the pool.
   struct MemoKey {
     const PathAttributes* attrs = nullptr;
     PeerId origin = 0;
@@ -155,15 +153,9 @@ struct BgpSpeaker::ExportGroup {
   };
   std::unordered_map<MemoKey, MemoValue, MemoKeyHash> memo;
   bool memo_enabled = false;
-  /// Whether eBGP templates may carry the next-hop placeholder. False only
-  /// for singleton groups pinned by an opaque (unregistered) export hook,
-  /// which must keep seeing the real per-peer next-hop.
-  bool spliceable = true;
-  /// Source-driven class (set_source_export_hook): the source attribute
-  /// set is the template and `source_hook` picks the spliced next-hop;
-  /// transform/policy/general-hook are bypassed.
-  bool source_driven = false;
-  SourceExportHook source_hook;
+  std::uint64_t memo_version = 0;
+  /// The members' shared export class (null = standard export only).
+  std::shared_ptr<const ExportClass> cls;
 };
 
 BgpSpeaker::BgpSpeaker(sim::EventLoop* loop, std::string name, Asn asn,
@@ -583,10 +575,9 @@ void BgpSpeaker::drain_pipeline() {
 
   {
     obs::Span span(decision_span_, nullptr);  // wall-clock decision latency
-    // Decision stage. Parallel only when a worker pool exists and any
-    // installed import hook is declared thread-safe.
-    const bool parallel = scheduler_ != nullptr &&
-                          (!import_hook_ || import_hook_thread_safe_) && n > 1;
+    // Decision stage. Parallel only when a worker pool exists and no import
+    // hook is installed: hooks run on the event-loop thread.
+    const bool parallel = scheduler_ != nullptr && !import_hook_ && n > 1;
     if (parallel) {
       scheduler_->parallel_for(
           n, [this](std::size_t p) {
@@ -756,7 +747,6 @@ bool BgpSpeaker::export_eligible(PeerId to, const RibRoute& route) const {
 
 bool BgpSpeaker::standard_export_transform(PeerId to, const RibRoute& route,
                                            AttrBuilder& attrs,
-                                           bool use_placeholder,
                                            bool* splice) const {
   if (!export_eligible(to, route)) return false;
   const Session& s = *sessions_.at(to);
@@ -780,14 +770,10 @@ bool BgpSpeaker::standard_export_transform(PeerId to, const RibRoute& route,
     // MED is non-transitive across ASes: drop it when re-advertising a
     // route learned via eBGP, keep it for routes this AS originates.
     if (route.peer != kLocalRoutes && !from_ibgp) m.med.reset();
-    if (use_placeholder) {
-      // Group template: one attribute set serves every member; each splices
-      // its own local address over the placeholder at send time.
-      m.next_hop = kNhPlaceholder;
-      if (splice) *splice = true;
-    } else {
-      m.next_hop = s.config.local_address;
-    }
+    // Group template: one attribute set serves every member; each splices
+    // its own local address over the placeholder at send time.
+    m.next_hop = kNhPlaceholder;
+    *splice = true;
   }
   return true;
 }
@@ -796,20 +782,9 @@ std::uint64_t BgpSpeaker::export_fingerprint(PeerId peer) const {
   const Session& s = *sessions_.at(peer);
   std::uint64_t h = 0x5ee71a6e0bull;
   auto mix = [&](std::uint64_t v) { h = exec::mix64(h ^ v); };
-  // Grouping off: every session fingerprints to itself (singleton groups
-  // running the identical machinery — the differential's escape hatch).
-  if (!pipeline_.group_exports) mix(peer);
-  // Export-hook class. An installed hook with no registered class is
-  // opaque: its results may depend on the member, so the peer never shares.
-  // A source-driven class keys the group even without a general hook.
-  if (s.export_class != 0 && source_export_hooks_.count(s.export_class)) {
-    mix(s.export_class);
-  } else if (export_hook_) {
-    mix(s.export_class != 0 ? s.export_class
-                            : (0x8000000000000000ull | peer));
-  } else {
-    mix(0);
-  }
+  // Descriptor identity: only sessions holding the same ExportClass share
+  // its evaluation (distinct instances with equal content stay apart).
+  mix(reinterpret_cast<std::uintptr_t>(s.config.export_class.get()));
   mix(s.config.peer_asn == asn_ ? 1 : 0);          // iBGP vs eBGP transform
   mix(s.config.transparent ? 1 : 0);               // RFC 7947 transparency
   mix(s.config.export_all_paths ? 1 : 0);
@@ -834,7 +809,7 @@ bool BgpSpeaker::fingerprint_matches(PeerId peer,
          a.tx_options.attrs.four_byte_asn ==
              b.tx_options.attrs.four_byte_asn &&
          a.config.mrai == b.config.mrai &&
-         a.export_class == b.export_class &&
+         a.config.export_class == b.config.export_class &&
          a.config.export_policy == b.config.export_policy;
 }
 
@@ -867,21 +842,13 @@ void BgpSpeaker::join_group(PeerId peer) {
       std::lower_bound(group->members.begin(), group->members.end(), peer),
       peer);
   // The memo caches group-level evaluation results keyed only on (source
-  // attrs, origin): valid when nothing else feeds the evaluation — a
-  // prefix-independent policy and either no hook or one that declared
-  // itself memo-safe (and invalidates on external-state changes). Grouping
-  // itself (hook/policy once per group) does not require the memo.
-  auto shit = s.export_class != 0 ? source_export_hooks_.find(s.export_class)
-                                  : source_export_hooks_.end();
-  group->source_driven = shit != source_export_hooks_.end();
-  group->source_hook = group->source_driven ? shit->second : nullptr;
-  // A source-driven hook is memo-safe by contract (and bypasses the
-  // policy, so prefix independence is moot for it).
-  group->memo_enabled =
-      group->source_driven ||
-      ((!export_hook_ || export_hook_memo_safe_) &&
-       s.config.export_policy.prefix_independent());
-  group->spliceable = !export_hook_ || s.export_class != 0;
+  // attrs, origin): valid when nothing else feeds the evaluation — the
+  // class functions are pure given their versioned owner state, and the
+  // policy must be prefix-independent unless a source-driven class
+  // bypasses it.
+  group->cls = s.config.export_class;
+  group->memo_enabled = (group->cls && group->cls->next_hop) ||
+                        s.config.export_policy.prefix_independent();
   s.group = group->id;
   s.group_cursor = group->log_end();
   s.needs_full = true;
@@ -923,12 +890,6 @@ void BgpSpeaker::refingerprint_peer(PeerId peer) {
   if (it != groups_.end()) it->second->memo.clear();
 }
 
-void BgpSpeaker::refingerprint_established() {
-  for (auto& [id, session] : sessions_) {
-    if (session->state == SessionState::kEstablished) refingerprint_peer(id);
-  }
-}
-
 void BgpSpeaker::clear_group_memos() {
   for (auto& [id, group] : groups_) group->memo.clear();
 }
@@ -943,49 +904,6 @@ void BgpSpeaker::trim_group_log(ExportGroup& group) {
   while (group.log_base < min_cursor && !group.log.empty()) {
     group.log.pop_front();
     ++group.log_base;
-  }
-}
-
-void BgpSpeaker::set_export_hook(ExportHook hook, bool thread_safe,
-                                 bool memo_safe) {
-  export_hook_ = std::move(hook);
-  export_hook_thread_safe_ = thread_safe;
-  export_hook_memo_safe_ = memo_safe;
-  // Hook presence changes fingerprints (opaque peers become singletons)
-  // and memo eligibility; memoized results may embed old hook output.
-  clear_group_memos();
-  refingerprint_established();
-}
-
-void BgpSpeaker::set_source_export_hook(std::uint64_t export_class,
-                                        SourceExportHook hook) {
-  if (export_class == 0) return;  // class 0 = opaque, never source-driven
-  if (hook) {
-    source_export_hooks_[export_class] = std::move(hook);
-  } else {
-    source_export_hooks_.erase(export_class);
-  }
-  // Registration flips the class's evaluation mode: stale memos and stale
-  // group flags both need rebuilding.
-  clear_group_memos();
-  refingerprint_established();
-}
-
-void BgpSpeaker::invalidate_export_memos() { clear_group_memos(); }
-
-void BgpSpeaker::set_export_filter(ExportFilterHook hook, bool thread_safe) {
-  export_filter_ = std::move(hook);
-  export_filter_thread_safe_ = thread_safe;
-}
-
-void BgpSpeaker::set_peer_export_class(PeerId peer,
-                                       std::uint64_t export_class) {
-  Session& s = *sessions_.at(peer);
-  if (s.export_class == export_class) return;
-  s.export_class = export_class;
-  if (s.state == SessionState::kEstablished) {
-    clear_group_memos();
-    refingerprint_peer(peer);
   }
 }
 
@@ -1049,7 +967,7 @@ void BgpSpeaker::evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
   const Session& s = *sessions_.at(rep);
   obs_group_evals_->inc();
   // ADD-PATH groups export every candidate: borrow the Loc-RIB's own
-  // vector instead of copying it (nothing below mutates the RIB — hooks
+  // vector instead of copying it (nothing below mutates the RIB — classes
   // and policies only transform attribute sets).
   const std::vector<RibRoute>* sources = nullptr;
   std::vector<RibRoute> best_only;
@@ -1061,6 +979,13 @@ void BgpSpeaker::evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
     sources = &best_only;
   }
   if (!sources) return;
+  const ExportClass* cls = group.cls.get();
+  // Owner state the class reads has moved since the memo was filled: every
+  // memoized result may be stale.
+  if (cls && cls->version && *cls->version != group.memo_version) {
+    group.memo.clear();
+    group.memo_version = *cls->version;
+  }
   for (const RibRoute& route : *sources) {
     // No split horizon here: the source route rides along in the advert and
     // each member skips its own at encode time.
@@ -1080,12 +1005,12 @@ void BgpSpeaker::evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
     bool splice = false;
     std::optional<Ipv4Address> splice_nh;
     AttrsPtr result;
-    if (group.source_driven) {
+    if (cls && cls->next_hop) {
       // Source-driven class: the source set is the template — no clone, no
-      // re-intern — and the hook only picks the next-hop, spliced over the
+      // re-intern — and the class only picks the next-hop, spliced over the
       // cached wire bytes at send time.
       if (export_eligible(rep, route)) {
-        if (auto nh = group.source_hook(route)) {
+        if (auto nh = cls->next_hop(route)) {
           result = route.attrs;
           if (*nh != route.attrs->next_hop) {
             splice = true;
@@ -1095,23 +1020,21 @@ void BgpSpeaker::evaluate_group(ExportGroup& group, const Ipv4Prefix& prefix,
       }
     } else {
       AttrBuilder builder(route.attrs);
-      if (standard_export_transform(rep, route, builder,
-                                    /*use_placeholder=*/group.spliceable,
-                                    &splice) &&
+      if (standard_export_transform(rep, route, builder, &splice) &&
           s.config.export_policy.apply(prefix, builder)) {
-        // As on import: intern only the post-hook set, so a hook that
-        // replaces the candidate (vBGP's experiment fan-out) never inserts
-        // the discarded intermediate into the pool.
-        if (export_hook_) {
-          auto hooked = export_hook_(rep, route, builder.release());
-          if (hooked) result = attr_pool_.adopt(*hooked);
+        // As on import: intern only the class's final set, so a transform
+        // that replaces the candidate never inserts the discarded
+        // intermediate into the pool.
+        if (cls && cls->transform) {
+          auto transformed = cls->transform(route, builder.release());
+          if (transformed) result = attr_pool_.adopt(*transformed);
         } else {
           result = builder.commit(attr_pool_);
         }
       }
-      // A policy action or hook that pinned a concrete next-hop overrides
-      // the placeholder: the template's next-hop is final, nothing to
-      // splice.
+      // A policy action or transform that pinned a concrete next-hop
+      // overrides the placeholder: the template's next-hop is final,
+      // nothing to splice.
       if (result && splice && result->next_hop != kNhPlaceholder)
         splice = false;
     }
@@ -1237,12 +1160,13 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   if (due.empty()) return;
   obs_flush_batch_->record(due.size());
 
-  // Phase A — group evaluation: transform + policy + export hook run once
+  // Phase A — group evaluation: transform + policy + export class run once
   // per (group, prefix), producing the shared advert templates. Groups
   // touch disjoint state (their own memo) and the attr pool is
-  // concurrent-safe, so groups fan out across the worker pool (unless a
-  // non-thread-safe export hook is installed). Ascending group id is the
-  // deterministic serial order.
+  // concurrent-safe, so groups fan out across the worker pool — unless a
+  // due group carries an export class: class functions run on the
+  // event-loop thread only. Ascending group id is the deterministic serial
+  // order.
   std::vector<std::uint64_t> gids;
   std::vector<GroupEval> gevals(group_prefixes.size());
   std::unordered_map<std::uint64_t, std::size_t> gindex;
@@ -1263,8 +1187,11 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
           before, static_cast<std::uint32_t>(eval.adverts.size()) - before);
     }
   };
-  const bool eval_parallel = scheduler_ != nullptr && gids.size() > 1 &&
-                             (!export_hook_ || export_hook_thread_safe_);
+  const bool classed = std::any_of(gids.begin(), gids.end(), [&](auto gid) {
+    return groups_.at(gid)->cls != nullptr;
+  });
+  const bool eval_parallel =
+      scheduler_ != nullptr && gids.size() > 1 && !classed;
   if (eval_parallel) {
     scheduler_->parallel_for(gids.size(), eval_one);
   } else {
@@ -1294,9 +1221,9 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
   // Phase B — member encode: per-member Adj-RIB-Out diff against the group
   // evaluation, wire assembly from the pre-encoded templates, next-hop
   // splice. Sessions are disjoint, so members fan out across the worker
-  // pool — unless a non-thread-safe export filter is installed, or the
-  // encode cache is off (members then serialize through the pool's shared
-  // scratch buffer). Serial order is ascending peer id — `due` is sorted.
+  // pool — unless a class's admit may run, or the encode cache is off
+  // (members then serialize through the pool's shared scratch buffer).
+  // Serial order is ascending peer id — `due` is sorted.
   std::vector<EncodeResult> results(due.size());
   auto encode_one = [&](std::size_t i) {
     const Session& s = *sessions_.at(due[i]);
@@ -1304,10 +1231,9 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
         encode_member(due[i], member_prefixes[i], group_prefixes.at(s.group),
                       gevals[gindex.at(s.group)]);
   };
-  const bool encode_parallel =
-      scheduler_ != nullptr && due.size() > 1 &&
-      attr_pool_.encode_cache_enabled() &&
-      (!export_filter_ || export_filter_thread_safe_);
+  const bool encode_parallel = scheduler_ != nullptr && due.size() > 1 &&
+                               attr_pool_.encode_cache_enabled() &&
+                               !classed;
   {
     obs::Span span(encode_span_, nullptr);  // wall-clock encode latency
     if (encode_parallel) {
@@ -1343,6 +1269,7 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
   Session& s = *sessions_.at(to);
   EncodeResult r;
   const bool stream_open = s.stream && s.stream->open();
+  const ExportClass* cls = groups_.at(s.group)->cls.get();
   std::vector<NlriEntry> withdrawals;
   // A full-table sync lands here with one prefix per Loc-RIB entry;
   // reserving up front avoids incremental rehashes of a large Adj-RIB-Out.
@@ -1369,13 +1296,12 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
     if (abegin == aend && poit == s.adj_out.end()) continue;
 
     // Member-level selection over the group templates: split horizon,
-    // export filter, local path-id allocation.
+    // the class's admit gate, local path-id allocation.
     desired.clear();
     for (const GroupAdvert* ap = abegin; ap != aend; ++ap) {
       const GroupAdvert& advert = *ap;
       if (advert.origin == to) continue;  // split horizon
-      if (export_filter_ &&
-          !export_filter_(to, advert.origin, *advert.source_attrs))
+      if (cls && cls->admit && !cls->admit(to, *advert.source_attrs))
         continue;
       std::uint32_t local_id = 0;
       if (s.addpath_tx) {

@@ -1,8 +1,8 @@
 // BgpSpeaker: a complete BGP-4 speaker — session FSMs over simulated TCP
 // streams, OPEN capability negotiation (4-byte ASN, ADD-PATH), per-peer
 // Adj-RIB-In, Loc-RIB with the standard decision process, policy-driven
-// export with MRAI batching, and hook points at import/export where vBGP
-// interposes (next-hop rewriting, security enforcement).
+// export with MRAI batching, and an import hook plus per-session export
+// classes where vBGP interposes (next-hop rewriting, security enforcement).
 //
 // This is the role BIRD plays in the authors' deployment. Unlike BIRD, the
 // route-processing core is organized as a three-stage pipeline over an
@@ -83,14 +83,6 @@ struct PipelineConfig {
   /// cursor falls off the trimmed end falls back to a full-table
   /// reevaluation at its next flush.
   std::size_t peer_queue_capacity = 1 << 16;
-  /// Cluster sessions with identical export fingerprints into shared
-  /// update groups: policy + hooks + the standard export transform run once
-  /// per group, each UPDATE is encoded once per (group, attrset), and
-  /// per-neighbor next-hops are spliced into the cached template at send
-  /// time. With false every session gets a singleton group — the escape
-  /// hatch the grouped-vs-ungrouped differential drives. Both settings run
-  /// the same machinery and must stay byte-identical on the wire.
-  bool group_exports = true;
 
   bool deterministic() const { return workers == 0; }
 };
@@ -119,6 +111,40 @@ class MonitorTap {
   virtual void on_route_post_policy(const RibRoute& route, bool withdrawn) = 0;
 };
 
+/// One export treatment, shared by every session that carries the same
+/// descriptor instance. Sessions with equal export fingerprints (the
+/// descriptor's identity among them) form one update group: the class
+/// functions run once per group and advert, never per member — except
+/// `admit`, the one per-member gate. Immutable once attached. Every
+/// function runs on the event-loop thread only: flushes that involve a
+/// group with a class drain serially.
+struct ExportClass {
+  /// Class-pure transform after the standard export transform and the
+  /// export policy: a function of (route, attrs) alone. Return nullopt to
+  /// suppress, `attrs` to pass through, or a new set (AttrBuilder against
+  /// the speaker's attr_pool()). On non-transparent eBGP sessions
+  /// attrs.next_hop is the splice placeholder: pinning a concrete next-hop
+  /// here disables the splice.
+  std::function<std::optional<AttrsPtr>(const RibRoute& route,
+                                        const AttrsPtr& attrs)>
+      transform;
+  /// Source-driven class: when set, each route's source attribute set is
+  /// exported verbatim — no transform clone, no re-intern, no export
+  /// policy; `transform` is ignored — and this only picks the next-hop,
+  /// spliced over the cached wire template at send time (nullopt
+  /// suppresses). The eligibility gates (iBGP split, NO_ADVERTISE,
+  /// NO_EXPORT) still apply.
+  std::function<std::optional<Ipv4Address>(const RibRoute& route)> next_hop;
+  /// Per-member gate at send time, given the advert's pre-transform source
+  /// attributes: return false to suppress this member's copy.
+  std::function<bool(PeerId to, const PathAttributes& source_attrs)> admit;
+  /// Version of the owner state `transform` and `next_hop` read. Group
+  /// results are memoized per (source attrs, origin); the speaker drops a
+  /// group's memo whenever the pointed-to value has moved since the memo
+  /// was filled. Null = the functions read no mutable state.
+  const std::uint64_t* version = nullptr;
+};
+
 struct PeerConfig {
   std::string name;
   Asn peer_asn = 0;
@@ -144,6 +170,9 @@ struct PeerConfig {
   /// peered directly. This is how IXP route servers deliver most of
   /// PEERING's 900+ peers.
   bool transparent = false;
+  /// Export treatment (null = the standard export alone). Peers share an
+  /// update group only if they share this pointer.
+  std::shared_ptr<const ExportClass> export_class;
 };
 
 /// Per-session statistics.
@@ -168,42 +197,10 @@ class BgpSpeaker {
   /// one cheaply with AttrBuilder and commit() against attr_pool(). vBGP
   /// rewrites next-hops here (and records the original next-hop per (peer,
   /// prefix, path-id) for its per-neighbor FIBs).
+  /// The hook runs on the event-loop thread: while one is installed the
+  /// decision stage stays serial.
   using ImportHook = std::function<std::optional<AttrsPtr>(
       PeerId from, const NlriEntry& entry, const AttrsPtr& attrs)>;
-
-  /// Export hook: runs after the peer's export policy, before transmission.
-  /// Return nullopt to suppress, the input pointer to pass through
-  /// untouched, or a transformed AttrsPtr. vBGP enforces announcement
-  /// controls here. Under export grouping the hook runs once per group with
-  /// `to` = the group's representative member; a hook registered via
-  /// set_peer_export_class promises its result depends only on
-  /// (route.attrs, route.peer, class) — an unregistered hook keeps its peer
-  /// in a singleton group and old per-peer semantics.
-  using ExportHook = std::function<std::optional<AttrsPtr>(
-      PeerId to, const RibRoute& route, const AttrsPtr& attrs)>;
-
-  /// Source-driven export hook, registered per export class: the class
-  /// exports each route's *source* attribute set verbatim — no transform
-  /// clone, no re-intern, no pool growth — and the hook only decides
-  /// suppression and the next-hop, which is spliced over the template's
-  /// cached wire bytes at send time (the full-fidelity fan-out pattern:
-  /// vBGP's experiment exports). Eligibility gates still apply (iBGP
-  /// split, NO_ADVERTISE/NO_EXPORT); the standard attribute transform and
-  /// the per-peer export policy are bypassed by definition of the class.
-  /// Same purity contract as a memo-safe ExportHook: a function of
-  /// (route.attrs, route.peer) given external state, with
-  /// invalidate_export_memos() on changes to that state.
-  using SourceExportHook =
-      std::function<std::optional<Ipv4Address>(const RibRoute& route)>;
-
-  /// Per-member export filter: runs for every group member at send time,
-  /// after the group-level policy/hook evaluation, with the advert's
-  /// originating peer and its *pre-transform* source attribute set. Return
-  /// false to suppress this member's copy of the advertisement.
-  /// Member-dependent export decisions live here under grouping (vBGP's
-  /// per-neighbor community gate).
-  using ExportFilterHook = std::function<bool(
-      PeerId to, PeerId origin, const PathAttributes& source_attrs)>;
 
   /// Route event: fired when the post-import route set changes (install or
   /// withdraw). vBGP synchronizes per-neighbor FIBs from this. Always
@@ -275,38 +272,7 @@ class BgpSpeaker {
   /// granularity by the message path; public for inject_update() users.
   void drain_pipeline();
 
-  /// `thread_safe` promises the hook may be invoked concurrently from
-  /// decision-stage workers; otherwise that stage degrades to serial while
-  /// the hook is installed (the hook itself still only ever runs on one
-  /// route at a time per partition).
-  void set_import_hook(ImportHook hook, bool thread_safe = false) {
-    import_hook_ = std::move(hook);
-    import_hook_thread_safe_ = thread_safe;
-  }
-  /// `memo_safe` declares the hook a pure function of (route.attrs,
-  /// route.peer, export class) *given* the external state it reads — the
-  /// owner must call invalidate_export_memos() whenever that state changes
-  /// (vBGP does on neighbor-registry mutations). Memo-safe hooks keep the
-  /// per-group evaluation memo enabled; opaque hooks disable it.
-  void set_export_hook(ExportHook hook, bool thread_safe = false,
-                       bool memo_safe = false);
-  /// Installs a source-driven hook for one export class (must be nonzero);
-  /// groups of that class use it instead of the general export hook. Pass
-  /// an empty function to unregister.
-  void set_source_export_hook(std::uint64_t export_class,
-                              SourceExportHook hook);
-  void set_export_filter(ExportFilterHook hook, bool thread_safe = false);
-  /// Drops every group's export-evaluation memo. Required from owners of
-  /// memo-safe export hooks when hook-visible external state changes.
-  void invalidate_export_memos();
-  /// Declares that the installed export hook behaves as a pure function of
-  /// (route.attrs, route.peer, export_class) for this peer, so peers
-  /// sharing a class can share one hook invocation per advert. The hook
-  /// must not read attrs.next_hop on non-transparent eBGP sessions (it may
-  /// carry the splice placeholder); overriding it disables the splice.
-  /// 0 (the default) = unregistered: the hook is treated as opaque and the
-  /// peer never shares a group while a hook is installed.
-  void set_peer_export_class(PeerId peer, std::uint64_t export_class);
+  void set_import_hook(ImportHook hook) { import_hook_ = std::move(hook); }
 
   /// Adjusts the peer's MRAI after registration (the backbone fabric
   /// registers iBGP peers itself; the internet-scale soak then arms MRAI
@@ -380,8 +346,8 @@ class BgpSpeaker {
   struct ExportGroup;
 
   /// One group-level advertisement for a prefix: where the route came from
-  /// (origin peer and path id, for split horizon and member filters), the
-  /// post-transform/policy/hook attribute template, whether the template
+  /// (origin peer and path id, for split horizon and the admit gate), the
+  /// post-transform/policy/class attribute template, whether the template
   /// carries the next-hop placeholder a member splices over, and the
   /// template's cached wire image — resolved once per group by the serial
   /// pre-encode pass; null when the encode cache is disabled.
@@ -391,7 +357,7 @@ class BgpSpeaker {
     AttrsPtr source_attrs;
     AttrsPtr attrs;
     bool splice = false;
-    /// Engaged for source-driven groups: the next-hop the hook chose for
+    /// Engaged for source-driven groups: the next-hop the class chose for
     /// this advert, spliced in place of the member's own address.
     std::optional<Ipv4Address> splice_nh;
     const Bytes* wire = nullptr;
@@ -481,7 +447,7 @@ class BgpSpeaker {
   /// Sends the full table to a newly established peer.
   void send_initial_table(PeerId to);
 
-  /// Phase A: runs transform + policy + export hook once for the group
+  /// Phase A: runs transform + policy + export class once for the group
   /// (against its representative member) and records one template advert
   /// per surviving Loc-RIB candidate. No split horizon, no encode — both
   /// are per-member concerns.
@@ -497,8 +463,8 @@ class BgpSpeaker {
 
   /// Canonical export fingerprint: peers with equal fingerprints share a
   /// group. Covers negotiated capabilities (ADD-PATH, 4-byte ASN), export
-  /// policy identity, transparency/iBGP mode, MRAI class, and the export
-  /// hook class; group_exports=false additionally mixes in the peer id.
+  /// policy identity, transparency/iBGP mode, MRAI class, and the identity
+  /// of the peer's ExportClass descriptor.
   std::uint64_t export_fingerprint(PeerId peer) const;
   /// Content check behind the fingerprint: guards against hash collisions.
   bool fingerprint_matches(PeerId peer, const ExportGroup& group) const;
@@ -507,7 +473,6 @@ class BgpSpeaker {
   /// Recomputes the peer's fingerprint and migrates it between groups when
   /// it changed (policy change, capability renegotiation, class change).
   void refingerprint_peer(PeerId peer);
-  void refingerprint_established();
   void clear_group_memos();
   /// Drops delta-log entries every member has consumed.
   void trim_group_log(ExportGroup& group);
@@ -515,15 +480,14 @@ class BgpSpeaker {
   /// Default per-session transforms applied on export before policy: AS
   /// prepend + next-hop handling for eBGP, LOCAL_PREF for iBGP. Mutates the
   /// builder copy-on-write; returns false to suppress the advertisement.
-  /// With `use_placeholder` the eBGP next-hop rewrite installs the splice
-  /// placeholder (sets *splice) instead of the representative's address,
-  /// so one template serves every member.
+  /// The eBGP next-hop rewrite installs the splice placeholder (sets
+  /// *splice) instead of the representative's address, so one template
+  /// serves every member.
   bool standard_export_transform(PeerId to, const RibRoute& route,
-                                 AttrBuilder& attrs, bool use_placeholder,
-                                 bool* splice) const;
+                                 AttrBuilder& attrs, bool* splice) const;
   /// The transform's pure reject gates (iBGP split, NO_ADVERTISE /
   /// NO_EXPORT) without any attribute mutation — the eligibility check
-  /// source-driven groups run before handing the route to their hook.
+  /// source-driven groups run before asking their class for a next-hop.
   bool export_eligible(PeerId to, const RibRoute& route) const;
 
   sim::EventLoop* loop_;
@@ -560,13 +524,6 @@ class BgpSpeaker {
   std::uint64_t next_group_id_ = 1;
 
   ImportHook import_hook_;
-  ExportHook export_hook_;
-  std::unordered_map<std::uint64_t, SourceExportHook> source_export_hooks_;
-  ExportFilterHook export_filter_;
-  bool import_hook_thread_safe_ = false;
-  bool export_hook_thread_safe_ = false;
-  bool export_hook_memo_safe_ = false;
-  bool export_filter_thread_safe_ = false;
   RouteEventHandler route_event_;
   SessionEventHandler session_event_;
   MonitorTap* monitor_ = nullptr;

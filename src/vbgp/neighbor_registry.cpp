@@ -4,6 +4,7 @@ namespace peering::vbgp {
 
 VirtualNeighbor& NeighborRegistry::allocate(const std::string& name) {
   std::uint16_t id = next_local_id_++;
+  ++version_;
   VirtualNeighbor& nb = neighbors_[id];
   nb.local_id = id;
   nb.name = name;

@@ -125,6 +125,10 @@ class NeighborRegistry {
   std::vector<const VirtualNeighbor*> all() const;
   std::size_t size() const { return neighbors_.size(); }
 
+  /// Moves on every new neighbor (add_local, a first add_remote): export
+  /// classes whose results read the registry key their memos on it.
+  const std::uint64_t& version() const { return version_; }
+
   /// The shared-leaf store behind every neighbor FIB. The owning router
   /// also hangs its mux and optional default tables off this set, so its
   /// accounting covers the router's whole data plane.
@@ -147,6 +151,7 @@ class NeighborRegistry {
 
   std::uint32_t router_seed_;
   std::uint16_t next_local_id_ = 1;
+  std::uint64_t version_ = 0;
   /// Declared before the neighbor map: views (inside VirtualNeighbor) must
   /// be destroyed before the set they reference.
   ip::FibSet fib_set_;

@@ -84,36 +84,37 @@ void VRouter::install_hooks() {
     }
     return std::optional<bgp::AttrsPtr>(attrs);
   });
-  // The export hook is class-pure: each branch of export_route depends only
-  // on the route and the peer's kind, so the speaker runs it once per update
-  // group (peers of one kind cluster together via the registered classes
-  // below). It is also memo-safe — a pure function of (source attrs, origin)
-  // given the neighbor registry and peer kinds, and every mutation of those
-  // calls invalidate_export_memos(). Member-dependent decisions live in the
-  // export filter.
-  speaker_.set_export_hook(
-      [this](bgp::PeerId to, const bgp::RibRoute& route,
-             const bgp::AttrsPtr& attrs) {
-        return export_route(to, route, attrs);
-      },
-      /*thread_safe=*/false, /*memo_safe=*/true);
-  // The experiment fan-out is the textbook source-driven export: every
-  // experiment sees the route's original attributes with only the next-hop
-  // re-mapped to the local virtual identity of the advertising neighbor.
-  // Registering it as a source hook lets the speaker export the interned
-  // source set verbatim (no clone, no second pool entry per route) and
-  // splice the virtual next-hop into the cached wire template at send
-  // time. Same purity contract as the general hook: reads the neighbor
-  // registry, whose mutations call invalidate_export_memos().
-  speaker_.set_source_export_hook(
-      static_cast<std::uint64_t>(PeerKind::kExperiment) + 1,
-      [this](const bgp::RibRoute& route) -> std::optional<Ipv4Address> {
+  speaker_.on_route_event([this](const bgp::RibRoute& route, bool withdrawn) {
+    sync_fib(route, withdrawn);
+  });
+
+  // One export class per session kind. Neighbors hear only experiment
+  // routes, each gated per neighbor by the experiment's control
+  // communities (§5). The transform reads only the route and the origin's
+  // peer kind, fixed at registration, so it needs no version.
+  neighbor_class_ = std::make_shared<const bgp::ExportClass>(bgp::ExportClass{
+      .transform =
+          [this](const bgp::RibRoute& route, const bgp::AttrsPtr& attrs) {
+            return export_to_neighbor(route, attrs);
+          },
+      .admit =
+          [this](bgp::PeerId to, const bgp::PathAttributes& source_attrs) {
+            VirtualNeighbor* nb = registry_.by_peer(to);
+            return nb != nullptr &&
+                   export_allowed_by_communities(source_attrs.communities,
+                                                 nb->local_id);
+          }});
+  // Experiments see every path with full fidelity: the source attributes
+  // verbatim, the next-hop re-mapped to the local virtual identity of the
+  // advertising neighbor and spliced into the cached wire template (no
+  // clone, no second pool entry per route). The mapping reads the neighbor
+  // registry, so the class carries the registry's version and the speaker
+  // drops memoized next-hops itself when a neighbor appears.
+  experiment_class_ = std::make_shared<const bgp::ExportClass>(bgp::ExportClass{
+      .next_hop = [this](const bgp::RibRoute& route)
+          -> std::optional<Ipv4Address> {
         // Experiments never see each other's routes (isolation).
-        const bool experiment_route =
-            has_experiment_marker(*route.attrs, config_.asn) ||
-            (route.peer != bgp::kLocalRoutes &&
-             peer_kind(route.peer) == PeerKind::kExperiment);
-        if (experiment_route) return std::nullopt;
+        if (is_experiment_route(route)) return std::nullopt;
         Ipv4Address nh = route.attrs->next_hop;
         if (VirtualNeighbor* nb = registry_.local_by_global_ip(nh)) {
           nh = nb->virtual_ip;
@@ -123,38 +124,34 @@ void VRouter::install_hooks() {
         // else: already a virtual IP (off-backbone PoP) or locally
         // originated.
         return nh;
-      });
-  speaker_.set_export_filter(
-      [this](bgp::PeerId to, bgp::PeerId origin,
-             const bgp::PathAttributes& source_attrs) {
-        (void)origin;
-        switch (peer_kind(to)) {
-          case PeerKind::kExperiment:
+      },
+      .admit =
+          [this](bgp::PeerId, const bgp::PathAttributes&) {
             // Figure-6b quantity: one counted export per experiment session
             // actually receiving the advert.
             obs_fanout_exports_->inc();
             return true;
-          case PeerKind::kNeighbor: {
-            // Per-neighbor announcement controls (§5): the experiment's
-            // control communities select which neighbors hear the route.
-            VirtualNeighbor* nb = registry_.by_peer(to);
-            if (!nb) return false;
-            return export_allowed_by_communities(source_attrs.communities,
-                                                 nb->local_id);
-          }
-          case PeerKind::kBackbone:
-            return true;
-        }
-        return true;
-      });
-  speaker_.on_route_event([this](const bgp::RibRoute& route, bool withdrawn) {
-    sync_fib(route, withdrawn);
-  });
+          },
+      .version = &registry_.version()});
+  // The backbone gets everything — neighbor routes with global next-hops,
+  // experiment routes with markers — under the standard iBGP export alone;
+  // the speaker's iBGP rules already keep iBGP-learned routes from echoing.
+  // An empty class rather than none: flushes that involve a classed group
+  // drain on the event-loop thread, so backbone flushes stay as serial as
+  // every other session's here (parallel drains cost the {4,4} soak ~3%
+  // peak RSS in worker-thread allocator arenas for no measured gain).
+  backbone_class_ = std::make_shared<const bgp::ExportClass>();
 }
 
 VRouter::PeerKind VRouter::peer_kind(bgp::PeerId peer) const {
   auto it = peer_kinds_.find(peer);
   return it == peer_kinds_.end() ? PeerKind::kNeighbor : it->second;
+}
+
+bool VRouter::is_experiment_route(const bgp::RibRoute& route) const {
+  return has_experiment_marker(*route.attrs, config_.asn) ||
+         (route.peer != bgp::kLocalRoutes &&
+          peer_kind(route.peer) == PeerKind::kExperiment);
 }
 
 bgp::PeerId VRouter::add_neighbor(const NeighborSpec& spec) {
@@ -164,15 +161,11 @@ bgp::PeerId VRouter::add_neighbor(const NeighborSpec& spec) {
   config.local_address = spec.local_address;
   config.peer_address = spec.remote_address;
   config.hold_time = spec.hold_time;
+  config.export_class = neighbor_class_;
   bgp::PeerId peer = speaker_.add_peer(config);
   peer_kinds_[peer] = PeerKind::kNeighbor;
-  speaker_.set_peer_export_class(
-      peer, static_cast<std::uint64_t>(PeerKind::kNeighbor) + 1);
   registry_.add_local(spec.name, peer, spec.remote_address, spec.interface,
                       spec.global_id);
-  // The export hook's next-hop mapping reads the registry; memoized
-  // results predating this neighbor are stale.
-  speaker_.invalidate_export_memos();
   return peer;
 }
 
@@ -185,14 +178,13 @@ bgp::PeerId VRouter::add_experiment(const ExperimentSpec& spec) {
   config.hold_time = spec.hold_time;
   config.addpath = bgp::AddPathMode::kBoth;
   config.export_all_paths = true;
-  // Experiments see routes with full fidelity (export_route rebuilds from
-  // the Loc-RIB attributes); transparent mode keeps the standard export
-  // transform from cloning a prepended set that would only be discarded.
+  // Experiments see routes with full fidelity (the source-driven class
+  // exports the Loc-RIB attributes verbatim); transparent mode matches that
+  // on the wire: no local-AS prepend.
   config.transparent = true;
+  config.export_class = experiment_class_;
   bgp::PeerId peer = speaker_.add_peer(config);
   peer_kinds_[peer] = PeerKind::kExperiment;
-  speaker_.set_peer_export_class(
-      peer, static_cast<std::uint64_t>(PeerKind::kExperiment) + 1);
   experiments_by_peer_[peer] = spec.experiment_id;
   experiments_by_interface_[spec.interface] = spec.experiment_id;
   return peer;
@@ -207,10 +199,9 @@ bgp::PeerId VRouter::add_backbone_peer(const BackboneSpec& spec) {
   config.hold_time = spec.hold_time;
   config.addpath = bgp::AddPathMode::kBoth;
   config.export_all_paths = true;
+  config.export_class = backbone_class_;
   bgp::PeerId peer = speaker_.add_peer(config);
   peer_kinds_[peer] = PeerKind::kBackbone;
-  speaker_.set_peer_export_class(
-      peer, static_cast<std::uint64_t>(PeerKind::kBackbone) + 1);
   backbone_interfaces_[peer] = spec.interface;
   return peer;
 }
@@ -286,11 +277,7 @@ std::optional<bgp::AttrsPtr> VRouter::import_from_backbone(
   if (it != backbone_interfaces_.end() &&
       Ipv4Prefix(kGlobalPoolBase, 16).contains(attrs->next_hop)) {
     std::uint32_t global_id = attrs->next_hop.value() - kGlobalPoolBase.value();
-    // Invalidate export memos only on a genuinely new registration: the
-    // steady state re-observes known neighbors on every route.
-    const bool known = registry_.remote_by_global_ip(attrs->next_hop) != nullptr;
     registry_.add_remote(global_id, from, it->second);
-    if (!known) speaker_.invalidate_export_memos();
   }
   return attrs;
 }
@@ -352,57 +339,18 @@ bgp::AttrsPtr VRouter::remap_next_hop(const bgp::AttrsPtr& attrs,
   return it->second;
 }
 
-std::optional<bgp::AttrsPtr> VRouter::export_route(bgp::PeerId to,
-                                                   const bgp::RibRoute& route,
-                                                   const bgp::AttrsPtr& attrs) {
-  const PeerKind to_kind = peer_kind(to);
-  const PeerKind from_kind =
-      route.peer == bgp::kLocalRoutes ? PeerKind::kNeighbor  // local routes
-                                      : peer_kind(route.peer);
-  const bool experiment_route =
-      has_experiment_marker(*route.attrs, config_.asn) ||
-      from_kind == PeerKind::kExperiment;
-
-  switch (to_kind) {
-    case PeerKind::kExperiment: {
-      // Experiments never see each other's routes (isolation), but see
-      // every Internet route with full fidelity: original attributes, no
-      // local prepend, next-hop re-mapped to the local virtual IP. Building
-      // from route.attrs (not the post-transform `attrs`) means every
-      // experiment session produces the same attribute set, which interns
-      // to a single shared pointer across the whole fan-out.
-      if (experiment_route) return std::nullopt;
-      Ipv4Address nh = route.attrs->next_hop;
-      if (VirtualNeighbor* nb = registry_.local_by_global_ip(nh)) {
-        nh = nb->virtual_ip;
-      } else if (VirtualNeighbor* rnb = registry_.remote_by_global_ip(nh)) {
-        nh = rnb->virtual_ip;
-      }
-      // else: already a virtual IP (off-backbone PoP) or locally originated.
-      return remap_next_hop(route.attrs, nh);
-    }
-    case PeerKind::kNeighbor: {
-      // Only experiment-originated (or platform-originated) announcements
-      // reach the Internet; PEERING never transits third-party routes. The
-      // per-neighbor community gate runs in the export filter.
-      if (!experiment_route && route.peer != bgp::kLocalRoutes)
-        return std::nullopt;
-      // Keep the standard eBGP transform; strip control communities only
-      // when there is something to strip.
-      if (!has_control(*attrs, config_.asn)) return attrs;
-      bgp::AttrBuilder b(attrs);
-      strip_control(b.mutate(), config_.asn);
-      return b.commit(speaker_.attr_pool());
-    }
-    case PeerKind::kBackbone: {
-      // Everything (neighbor routes with global next-hops, experiment
-      // routes with markers) crosses the backbone; the speaker's iBGP rules
-      // already prevent iBGP-learned routes from echoing back. Pure
-      // pass-through: the interned pointer flows to the wire unchanged.
-      return attrs;
-    }
-  }
-  return attrs;
+std::optional<bgp::AttrsPtr> VRouter::export_to_neighbor(
+    const bgp::RibRoute& route, const bgp::AttrsPtr& attrs) {
+  // Only experiment-originated (or platform-originated) announcements reach
+  // the Internet; PEERING never transits third-party routes.
+  if (route.peer != bgp::kLocalRoutes && !is_experiment_route(route))
+    return std::nullopt;
+  // Keep the standard eBGP transform; strip control communities only when
+  // there is something to strip.
+  if (!has_control(*attrs, config_.asn)) return attrs;
+  bgp::AttrBuilder b(attrs);
+  strip_control(b.mutate(), config_.asn);
+  return b.commit(speaker_.attr_pool());
 }
 
 void VRouter::sync_fib(const bgp::RibRoute& route, bool withdrawn) {
@@ -685,9 +633,10 @@ void VRouter::egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
   ++stats_.frames_demuxed;
   obs_frames_demuxed_->inc();
   if (trace_) {
-    trace_->record(loop_->now(), "demux",
-                   exp.value_or("?") + " -> " + neighbor.name + " dst=" +
-                       packet.dst.str());
+    trace_->emit(loop_->now(), "vbgp", "demux",
+                 {{"experiment", exp.value_or("?")},
+                  {"neighbor", neighbor.name},
+                  {"dst", packet.dst.str()}});
   }
   transmit(route->interface, route->next_hop, std::move(packet));
 }
@@ -730,9 +679,10 @@ void VRouter::deliver_toward_experiment(int in_if,
   ++stats_.frames_to_experiments;
   obs_frames_to_exp_->inc();
   if (trace_) {
-    trace_->record(loop_->now(), "deliver",
-                   entry.experiment_id + " <- " + src_mac.str() + " dst=" +
-                       packet.dst.str());
+    trace_->emit(loop_->now(), "vbgp", "deliver",
+                 {{"experiment", entry.experiment_id},
+                  {"src_mac", src_mac.str()},
+                  {"dst", packet.dst.str()}});
   }
   send_frame(entry.interface,
              ether::make_frame(*exp_mac, src_mac, ether::EtherType::kIpv4,

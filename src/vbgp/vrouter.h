@@ -34,7 +34,7 @@
 #include "enforce/data_enforcer.h"
 #include "ip/host.h"
 #include "obs/metrics.h"
-#include "sim/trace.h"
+#include "obs/trace.h"
 #include "vbgp/communities.h"
 #include "vbgp/neighbor_registry.h"
 
@@ -179,9 +179,10 @@ class VRouter : public ip::Host {
     return accounting_;
   }
 
-  /// Optional data-plane trace: demux decisions and deliveries are
-  /// recorded for offline analysis (nullptr disables).
-  void set_trace(sim::TraceRecorder* trace) { trace_ = trace; }
+  /// Optional data-plane trace: demux decisions and deliveries are emitted
+  /// as "vbgp" events for offline analysis (nullptr, the default, disables
+  /// it at the cost of one branch per packet).
+  void set_trace(obs::EventTrace* trace) { trace_ = trace; }
 
   /// Called after every per-neighbor FIB insert/remove with the affected
   /// prefix. Generic hook (vbgp stays independent of the monitoring
@@ -222,7 +223,8 @@ class VRouter : public ip::Host {
   void handle_arp(int if_index, const ether::ArpMessage& msg) override;
 
  private:
-  /// Installs speaker hooks (import rewrite, export control).
+  /// Installs the speaker's import hook and route event, and builds the
+  /// three export classes (neighbor, experiment, backbone).
   void install_hooks();
 
   std::optional<bgp::AttrsPtr> import_from_neighbor(
@@ -235,15 +237,16 @@ class VRouter : public ip::Host {
       bgp::PeerId from, const bgp::NlriEntry& entry,
       const bgp::AttrsPtr& attrs);
 
-  std::optional<bgp::AttrsPtr> export_route(bgp::PeerId to,
-                                            const bgp::RibRoute& route,
-                                            const bgp::AttrsPtr& attrs);
+  /// The neighbor class's transform: experiment (or platform) routes only,
+  /// control communities stripped.
+  std::optional<bgp::AttrsPtr> export_to_neighbor(const bgp::RibRoute& route,
+                                                  const bgp::AttrsPtr& attrs);
 
   /// `attrs` with its next-hop replaced by `nh`, interned. Memoized by
-  /// source pointer: next-hop rewriting is the hot per-update transform
-  /// (every import, every experiment export), and for a pool-owned source
-  /// the result is a pure function of the pointer, so the steady state is
-  /// one hash-map probe instead of clone + content-hash + intern.
+  /// source pointer: next-hop rewriting is the hot per-update transform of
+  /// every neighbor import, and for a pool-owned source the result is a
+  /// pure function of the pointer, so the steady state is one hash-map
+  /// probe instead of clone + content-hash + intern.
   bgp::AttrsPtr remap_next_hop(const bgp::AttrsPtr& attrs, Ipv4Address nh);
 
   void sync_fib(const bgp::RibRoute& route, bool withdrawn);
@@ -256,12 +259,17 @@ class VRouter : public ip::Host {
 
   enum class PeerKind { kNeighbor, kExperiment, kBackbone };
   PeerKind peer_kind(bgp::PeerId peer) const;
+  /// Carries the experiment marker or was learned from an experiment.
+  bool is_experiment_route(const bgp::RibRoute& route) const;
 
   VRouterConfig config_;
   bgp::BgpSpeaker speaker_;
   NeighborRegistry registry_;
   enforce::ControlPlaneEnforcer* control_enforcer_ = nullptr;
   enforce::DataPlaneEnforcer* data_enforcer_ = nullptr;
+  std::shared_ptr<const bgp::ExportClass> neighbor_class_;
+  std::shared_ptr<const bgp::ExportClass> experiment_class_;
+  std::shared_ptr<const bgp::ExportClass> backbone_class_;
 
   // Keys hold a reference so a memoized source can never be swept and
   // reallocated at the same address. Cleared wholesale past a size cap.
@@ -288,7 +296,7 @@ class VRouter : public ip::Host {
   bool default_table_enabled_ = false;
   FibObserver fib_observer_;
   std::map<std::string, TrafficAccount> accounting_;
-  sim::TraceRecorder* trace_ = nullptr;
+  obs::EventTrace* trace_ = nullptr;
 
   /// Original (pre-rewrite) next-hop per imported route: the gateway the
   /// per-neighbor FIB forwards to. For a direct neighbor this equals the

@@ -212,8 +212,8 @@ TEST(AttrFlow, SessionChurnDoesNotGrowPoolMemory) {
 
 // The fan-out property the encode cache depends on: one route exported to
 // N all-paths experiment sessions installs the SAME AttrsPtr in every
-// Adj-RIB-Out (the export hook rebuilds from the Loc-RIB attributes, so
-// per-session transforms intern to one canonical set).
+// Adj-RIB-Out (the source-driven experiment class exports the Loc-RIB
+// attributes themselves, so every session gets one canonical set).
 TEST(AttrFlow, ExperimentFanOutSharesOneAttrsPtr) {
   sim::EventLoop loop;
   vbgp::VRouterConfig config;

@@ -1,7 +1,8 @@
 // Update-group export path: fingerprint-based clustering, splice-at-send,
 // per-member encode-cache crediting, flap/rejoin resync from the group
-// delta log, and the grouped-vs-ungrouped wire-byte differential that
-// pins the whole refactor to the per-peer reference semantics.
+// delta log, export-class memo versioning, and the wire-byte differentials
+// (grouped vs singleton groups, serial vs parallel pipeline) that pin the
+// whole design to the per-peer reference semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,9 +67,8 @@ struct Hub {
   std::vector<std::unique_ptr<RecordingPeer>> recorders;
   std::vector<PeerId> peers;
 
-  explicit Hub(bool group_exports = true)
-      : speaker(&loop, "hub", 65000, Ipv4Address(1, 1, 1, 1),
-                PipelineConfig{.group_exports = group_exports}) {}
+  explicit Hub(PipelineConfig pipeline = {})
+      : speaker(&loop, "hub", 65000, Ipv4Address(1, 1, 1, 1), pipeline) {}
 
   /// Adds one recorded session; `config.peer_asn` names the recorder ASN.
   PeerId attach(PeerConfig config, bool peer_addpath = false) {
@@ -462,34 +462,42 @@ struct ScenarioResult {
   std::size_t groups = 0;
 };
 
-ScenarioResult run_scenario(bool group_exports, std::uint64_t seed) {
-  Hub hub(group_exports);
-  hub.attach({.name = "plain1", .peer_asn = 64061,
-              .local_address = Ipv4Address(10, 1, 0, 1)});
-  hub.attach({.name = "plain2", .peer_asn = 64062,
-              .local_address = Ipv4Address(10, 2, 0, 1)});
-  hub.attach({.name = "ap1", .peer_asn = 64063,
-              .local_address = Ipv4Address(10, 3, 0, 1),
-              .addpath = AddPathMode::kBoth},
-             /*peer_addpath=*/true);
-  hub.attach({.name = "ap2", .peer_asn = 64064,
-              .local_address = Ipv4Address(10, 4, 0, 1),
-              .addpath = AddPathMode::kBoth},
-             /*peer_addpath=*/true);
-  hub.attach({.name = "slow", .peer_asn = 64065,
-              .local_address = Ipv4Address(10, 5, 0, 1),
-              .mrai = Duration::seconds(20)});
-  hub.attach({.name = "transp", .peer_asn = 64066,
-              .local_address = Ipv4Address(10, 6, 0, 1),
-              .transparent = true});
-  hub.attach(
-      {.name = "filtered", .peer_asn = 64067,
-       .local_address = Ipv4Address(10, 7, 0, 1),
-       .export_policy = RoutePolicy::accept_all().add_term(
-           {.name = "no-odd",
-            .match = {.any_community = {Community(65000, 1)}},
-            .actions = {.deny = true},
-            .final_term = true})});
+/// `grouped` = false gives every session its own (empty) ExportClass
+/// instance: the descriptor identity keys the fingerprint, so each session
+/// becomes a singleton group running the identical machinery — the
+/// per-peer reference.
+ScenarioResult run_scenario(bool grouped, std::uint64_t seed,
+                            PipelineConfig pipeline = {}) {
+  Hub hub(pipeline);
+  auto attach = [&](PeerConfig config, bool peer_addpath = false) {
+    if (!grouped) config.export_class = std::make_shared<const ExportClass>();
+    hub.attach(std::move(config), peer_addpath);
+  };
+  attach({.name = "plain1", .peer_asn = 64061,
+          .local_address = Ipv4Address(10, 1, 0, 1)});
+  attach({.name = "plain2", .peer_asn = 64062,
+          .local_address = Ipv4Address(10, 2, 0, 1)});
+  attach({.name = "ap1", .peer_asn = 64063,
+          .local_address = Ipv4Address(10, 3, 0, 1),
+          .addpath = AddPathMode::kBoth},
+         /*peer_addpath=*/true);
+  attach({.name = "ap2", .peer_asn = 64064,
+          .local_address = Ipv4Address(10, 4, 0, 1),
+          .addpath = AddPathMode::kBoth},
+         /*peer_addpath=*/true);
+  attach({.name = "slow", .peer_asn = 64065,
+          .local_address = Ipv4Address(10, 5, 0, 1),
+          .mrai = Duration::seconds(20)});
+  attach({.name = "transp", .peer_asn = 64066,
+          .local_address = Ipv4Address(10, 6, 0, 1),
+          .transparent = true});
+  attach({.name = "filtered", .peer_asn = 64067,
+          .local_address = Ipv4Address(10, 7, 0, 1),
+          .export_policy = RoutePolicy::accept_all().add_term(
+              {.name = "no-odd",
+               .match = {.any_community = {Community(65000, 1)}},
+               .actions = {.deny = true},
+               .final_term = true})});
   hub.settle();
 
   // Seeded churn: announce/withdraw random prefixes drawn from a small
@@ -531,68 +539,85 @@ ScenarioResult run_scenario(bool group_exports, std::uint64_t seed) {
   return result;
 }
 
+/// Wire bytes, RIB digest and per-session stats of two scenario runs agree.
+void expect_identical(const ScenarioResult& a, const ScenarioResult& b,
+                      std::uint64_t seed) {
+  ASSERT_EQ(a.wires.size(), b.wires.size());
+  for (std::size_t i = 0; i < a.wires.size(); ++i)
+    EXPECT_EQ(a.wires[i], b.wires[i])
+        << "seed " << seed << ": session " << i << " received different bytes";
+  EXPECT_EQ(a.rib, b.rib) << "seed " << seed;
+  EXPECT_EQ(a.updates_sent, b.updates_sent) << "seed " << seed;
+  ASSERT_EQ(a.stats.size(), b.stats.size());
+  for (std::size_t i = 0; i < a.stats.size(); ++i) {
+    EXPECT_EQ(a.stats[i].updates_sent, b.stats[i].updates_sent)
+        << "seed " << seed << ": session " << i;
+    EXPECT_EQ(a.stats[i].attr_encode_cache_hits,
+              b.stats[i].attr_encode_cache_hits)
+        << "seed " << seed << ": session " << i;
+    EXPECT_EQ(a.stats[i].attr_encode_cache_misses,
+              b.stats[i].attr_encode_cache_misses)
+        << "seed " << seed << ": session " << i;
+  }
+}
+
 TEST(UpdateGroup, GroupedAndUngroupedAreWireIdentical) {
   for (std::uint64_t seed : {41ull, 97ull, 1234ull}) {
-    ScenarioResult grouped = run_scenario(/*group_exports=*/true, seed);
-    ScenarioResult ungrouped = run_scenario(/*group_exports=*/false, seed);
-
-    ASSERT_EQ(grouped.wires.size(), ungrouped.wires.size());
-    for (std::size_t i = 0; i < grouped.wires.size(); ++i)
-      EXPECT_EQ(grouped.wires[i], ungrouped.wires[i])
-          << "seed " << seed << ": session " << i
-          << " received different bytes";
-    EXPECT_EQ(grouped.rib, ungrouped.rib) << "seed " << seed;
-    EXPECT_EQ(grouped.updates_sent, ungrouped.updates_sent) << "seed " << seed;
-    for (std::size_t i = 0; i < grouped.stats.size(); ++i) {
-      EXPECT_EQ(grouped.stats[i].updates_sent, ungrouped.stats[i].updates_sent)
-          << "seed " << seed << ": session " << i;
-      EXPECT_EQ(grouped.stats[i].attr_encode_cache_hits,
-                ungrouped.stats[i].attr_encode_cache_hits)
-          << "seed " << seed << ": session " << i;
-      EXPECT_EQ(grouped.stats[i].attr_encode_cache_misses,
-                ungrouped.stats[i].attr_encode_cache_misses)
-          << "seed " << seed << ": session " << i;
-    }
+    ScenarioResult grouped = run_scenario(/*grouped=*/true, seed);
+    ScenarioResult ungrouped = run_scenario(/*grouped=*/false, seed);
+    expect_identical(grouped, ungrouped, seed);
     // Sharing actually happened in the grouped run: fewer groups than
     // sessions (plain pair + ADD-PATH pair each collapse).
     EXPECT_LT(grouped.groups, ungrouped.groups) << "seed " << seed;
   }
 }
 
-/// The source-driven hook must be wire-equivalent to a general export hook
-/// that only rewrites the next-hop, on transparent sessions (where the
-/// standard transform leaves the template untouched — vBGP's experiment
-/// fan-out shape).
-ScenarioResult run_hook_scenario(bool source_driven) {
+/// The parallel drain (Phase A group evaluation and Phase B member encode
+/// fanned across the scheduler) must put the same bytes on every wire as
+/// the serial one. The scenario runs several groups and several due members
+/// per flush, so {4, 3} reaches both parallel_for calls.
+TEST(UpdateGroup, ParallelPipelineIsWireIdentical) {
+  for (std::uint64_t seed : {41ull, 97ull, 1234ull}) {
+    ScenarioResult serial =
+        run_scenario(/*grouped=*/true, seed, {.partitions = 1, .workers = 0});
+    ScenarioResult parallel =
+        run_scenario(/*grouped=*/true, seed, {.partitions = 4, .workers = 3});
+    expect_identical(serial, parallel, seed);
+    EXPECT_EQ(serial.groups, parallel.groups) << "seed " << seed;
+  }
+}
+
+/// A source-driven class must be wire-equivalent to a transform class that
+/// only rewrites the next-hop, on transparent sessions (where the standard
+/// transform leaves the template untouched — vBGP's experiment fan-out
+/// shape).
+ScenarioResult run_class_scenario(bool source_driven) {
   Hub hub;
-  constexpr std::uint64_t kClass = 7;
   const Ipv4Address vnh(100, 65, 0, 1);
+  auto cls = std::make_shared<ExportClass>();
   if (source_driven) {
-    hub.speaker.set_source_export_hook(
-        kClass, [vnh](const RibRoute&) { return vnh; });
+    cls->next_hop = [vnh](const RibRoute&) { return vnh; };
   } else {
-    hub.speaker.set_export_hook(
-        [&hub, vnh](PeerId, const RibRoute&,
-                    const AttrsPtr& attrs) -> std::optional<AttrsPtr> {
-          PathAttributes rewritten = *attrs;
-          rewritten.next_hop = vnh;
-          return hub.speaker.attr_pool().intern(std::move(rewritten));
-        },
-        /*thread_safe=*/false, /*memo_safe=*/true);
+    cls->transform = [&hub, vnh](const RibRoute&, const AttrsPtr& attrs)
+        -> std::optional<AttrsPtr> {
+      PathAttributes rewritten = *attrs;
+      rewritten.next_hop = vnh;
+      return hub.speaker.attr_pool().intern(std::move(rewritten));
+    };
   }
   for (int i = 0; i < 2; ++i) {
     std::string peer_name = "x";
     peer_name += std::to_string(i);
-    PeerId peer = hub.attach(
+    hub.attach(
         {.name = peer_name,
          .peer_asn = static_cast<Asn>(64071 + i),
          .local_address = Ipv4Address(10, static_cast<std::uint8_t>(i + 1), 0,
                                       1),
          .addpath = AddPathMode::kBoth,
          .export_all_paths = true,
-         .transparent = true},
+         .transparent = true,
+         .export_class = cls},
         /*peer_addpath=*/true);
-    hub.speaker.set_peer_export_class(peer, kClass);
   }
   hub.settle();
 
@@ -616,15 +641,72 @@ ScenarioResult run_hook_scenario(bool source_driven) {
 }
 
 TEST(UpdateGroup, SourceDrivenHookMatchesGeneralHookOnWire) {
-  ScenarioResult with_source = run_hook_scenario(/*source_driven=*/true);
-  ScenarioResult with_general = run_hook_scenario(/*source_driven=*/false);
+  ScenarioResult with_source = run_class_scenario(/*source_driven=*/true);
+  ScenarioResult with_transform = run_class_scenario(/*source_driven=*/false);
 
-  ASSERT_EQ(with_source.wires.size(), with_general.wires.size());
+  ASSERT_EQ(with_source.wires.size(), with_transform.wires.size());
   for (std::size_t i = 0; i < with_source.wires.size(); ++i)
-    EXPECT_EQ(with_source.wires[i], with_general.wires[i])
+    EXPECT_EQ(with_source.wires[i], with_transform.wires[i])
         << "session " << i << " received different bytes";
-  // The source-driven class shares one group across both sessions.
+  // Both sessions hold the one descriptor: they share one group.
   EXPECT_EQ(with_source.groups, 1u);
+  EXPECT_EQ(with_transform.groups, 1u);
+}
+
+/// Next-hop of the last UPDATE carrying NLRI on a plain (no ADD-PATH)
+/// session's recorded wire.
+std::optional<Ipv4Address> last_announced_next_hop(const Bytes& wire) {
+  MessageDecoder decoder;
+  decoder.feed(wire);
+  std::optional<Ipv4Address> nh;
+  while (true) {
+    auto result = decoder.poll();
+    if (!result.ok() || !result->has_value()) break;
+    if (const auto* update = std::get_if<UpdateMessage>(&**result)) {
+      if (!update->nlri.empty() && update->attributes)
+        nh = update->attributes->next_hop;
+    }
+  }
+  return nh;
+}
+
+/// The memo is keyed on (source attrs, origin); the class's owner state is
+/// not part of the key. Moving the class's version must drop the memo with
+/// no call from the owner, or a re-origination of the same attributes
+/// would be served the stale next-hop and never reach the wire.
+TEST(UpdateGroup, ClassVersionInvalidatesMemo) {
+  Hub hub;
+  const Ipv4Address source_nh(10, 0, 0, 1);
+  std::map<Ipv4Address, Ipv4Address> virtual_nh{
+      {source_nh, Ipv4Address(100, 65, 0, 1)}};
+  std::uint64_t version = 1;
+  auto cls = std::make_shared<const ExportClass>(ExportClass{
+      .next_hop =
+          [&virtual_nh](const RibRoute& route) -> std::optional<Ipv4Address> {
+        return virtual_nh.at(route.attrs->next_hop);
+      },
+      .version = &version});
+  PeerId peer = hub.attach({.name = "v", .peer_asn = 64091,
+                            .local_address = Ipv4Address(10, 1, 0, 1),
+                            .transparent = true,
+                            .export_class = cls});
+  hub.settle();
+
+  const Ipv4Prefix prefix = pfx("10.90.0.0/16");
+  hub.speaker.originate(prefix, attrs_with(7));
+  hub.settle();
+  ASSERT_EQ(last_announced_next_hop(hub.recorders[0]->wire()),
+            Ipv4Address(100, 65, 0, 1));
+
+  virtual_nh[source_nh] = Ipv4Address(100, 65, 0, 2);
+  ++version;
+  hub.speaker.originate(prefix, attrs_with(7));
+  hub.settle();
+  EXPECT_EQ(last_announced_next_hop(hub.recorders[0]->wire()),
+            Ipv4Address(100, 65, 0, 2));
+  const auto out = hub.speaker.adj_rib_out(peer);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].next_hop, Ipv4Address(100, 65, 0, 2));
 }
 
 }  // namespace
