@@ -54,6 +54,7 @@ struct MemoryPoint {
   std::size_t with_default;   // ... + default table (extra view)
   std::size_t fib_shared;     // FibSet actual bytes
   std::size_t fib_flat;       // per-view-equivalent bytes
+  std::size_t fib_index;      // the LPM index (part of fib_shared)
 };
 
 MemoryPoint measure(std::size_t route_count) {
@@ -91,6 +92,7 @@ MemoryPoint measure(std::size_t route_count) {
   point.control_plane = rib_bytes;
   point.fib_shared = fib_set.memory_bytes();
   point.fib_flat = fib_set.flat_equivalent_bytes();
+  point.fib_index = fib_set.index_bytes();
   point.with_fib = rib_bytes + point.fib_shared;
 
   // The default table is one more view of the same set: measure the marginal
@@ -131,8 +133,9 @@ int run_sweep(benchutil::JsonReport& report) {
   std::printf("\nper-route cost at %zu routes: control-plane %.0f B/route, "
               "w/ data plane %.0f B/route, w/ default %.0f B/route\n",
               last.routes, per_route_cp, per_route_fib, per_route_def);
-  std::printf("data-plane store: %.1f MB shared vs %.1f MB flat-equivalent\n",
-              last.fib_shared / 1e6, last.fib_flat / 1e6);
+  std::printf("data-plane store: %.1f MB shared (%.1f MB LPM index) vs "
+              "%.1f MB flat-equivalent\n",
+              last.fib_shared / 1e6, last.fib_index / 1e6, last.fib_flat / 1e6);
   double routes_32gib = 32.0 * (1ull << 30) / per_route_fib / 1e6;
   std::printf("a 32 GiB server supports ~%.0fM routes in the vBGP "
               "configuration\n", routes_32gib);
@@ -153,6 +156,7 @@ int run_sweep(benchutil::JsonReport& report) {
   report.metric("with_default_bytes_per_route", per_route_def);
   report.metric("fib_shared_bytes", static_cast<double>(last.fib_shared));
   report.metric("fib_flat_bytes", static_cast<double>(last.fib_flat));
+  report.metric("fib_index_bytes", static_cast<double>(last.fib_index));
   report.metric("routes_in_32gib_millions", routes_32gib);
   report.metric("linear_scaling", linear ? 1 : 0);
   return 0;
@@ -230,6 +234,8 @@ int run_ablation(benchutil::JsonReport& report) {
       static_cast<double>(shared_bytes) / static_cast<double>(total_routes);
   double flat_per_route =
       static_cast<double>(flat_bytes) / static_cast<double>(total_routes);
+  double index_per_route = static_cast<double>(set.index_bytes()) /
+                           static_cast<double>(total_routes);
   double dedup = static_cast<double>(flat_bytes) /
                  static_cast<double>(shared_bytes);
 
@@ -238,6 +244,8 @@ int run_ablation(benchutil::JsonReport& report) {
               kAblationNeighbors, set.unique_prefix_count(), checked);
   std::printf("  shared (FibSet):        %8.1f MB  (%.1f B/route)\n",
               shared_bytes / 1e6, shared_per_route);
+  std::printf("    of which LPM index:   %8.1f MB  (%.1f B/route)\n",
+              set.index_bytes() / 1e6, index_per_route);
   std::printf("  flat (RoutingTables):   %8.1f MB  (%.1f B/route)\n",
               flat_bytes / 1e6, flat_per_route);
   std::printf("  dedup factor:           %8.1fx  (target >= 4x)\n", dedup);
@@ -246,6 +254,7 @@ int run_ablation(benchutil::JsonReport& report) {
   report.metric("ablation_routes", static_cast<double>(total_routes));
   report.metric("ablation_shared_bytes_per_route", shared_per_route);
   report.metric("ablation_flat_bytes_per_route", flat_per_route);
+  report.metric("ablation_index_bytes_per_route", index_per_route);
   report.metric("ablation_dedup_factor", dedup);
   report.metric("ablation_lpm_checked", static_cast<double>(checked));
   return dedup >= 4.0 ? 0 : 1;

@@ -21,11 +21,17 @@ Status DataPlaneEnforcer::install(const ExperimentGrant& grant) {
     double bytes_per_sec = static_cast<double>(grant.traffic_rate_bps) / 8.0;
     buckets.push_back({bytes_per_sec, bytes_per_sec});
   }
-  Entry entry;
-  entry.filter = std::make_unique<PacketFilter>(std::move(*filter));
-  entry.state = std::make_unique<FilterState>(std::move(buckets));
-  filters_[grant.experiment_id] = std::move(entry);
+  install(grant.experiment_id, std::move(*filter), std::move(buckets));
   return Status::Ok();
+}
+
+void DataPlaneEnforcer::install(const std::string& experiment_id,
+                                PacketFilter filter,
+                                std::vector<TokenBucketConfig> buckets) {
+  Entry entry;
+  entry.filter = std::make_unique<PacketFilter>(std::move(filter));
+  entry.state = std::make_unique<FilterState>(std::move(buckets));
+  filters_[experiment_id] = std::move(entry);
 }
 
 FilterAction DataPlaneEnforcer::check(const std::string& experiment_id,

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "enforce/capabilities.h"
 #include "enforce/packet_filter.h"
@@ -23,6 +24,11 @@ class DataPlaneEnforcer {
   /// grant carries a traffic_rate_bps, bytes are metered against a token
   /// bucket of that rate with a 1-second burst.
   Status install(const ExperimentGrant& grant);
+
+  /// Installs (or replaces) a hand-written filter for an experiment, with
+  /// the token buckets its program consumes from.
+  void install(const std::string& experiment_id, PacketFilter filter,
+               std::vector<TokenBucketConfig> buckets);
 
   void remove(const std::string& experiment_id) {
     filters_.erase(experiment_id);

@@ -67,9 +67,11 @@ struct VirtualNeighbor {
 /// the deduplicated FibSet actually costs; `flat_bytes` is what the same
 /// contents would cost as one private RoutingTable per view (the
 /// pre-sharing design, and the paper's literal per-interconnection cost).
+/// `index_bytes` is the part of `shared_bytes` taken by the LPM index.
 struct FibAccounting {
   std::size_t shared_bytes = 0;
   std::size_t flat_bytes = 0;
+  std::size_t index_bytes = 0;
   std::size_t routes = 0;
   std::size_t unique_prefixes = 0;
   std::size_t views = 0;
@@ -83,6 +85,7 @@ struct FibAccounting {
   FibAccounting& operator+=(const FibAccounting& other) {
     shared_bytes += other.shared_bytes;
     flat_bytes += other.flat_bytes;
+    index_bytes += other.index_bytes;
     routes += other.routes;
     unique_prefixes += other.unique_prefixes;
     views += other.views;

@@ -434,6 +434,7 @@ void VRouter::publish_metrics(obs::Registry& registry) const {
   const FibAccounting fa = registry_.fib_accounting();
   registry.gauge("vbgp_fib_shared_bytes", labels)->set(i64(fa.shared_bytes));
   registry.gauge("vbgp_fib_flat_bytes", labels)->set(i64(fa.flat_bytes));
+  registry.gauge("vbgp_fib_index_bytes", labels)->set(i64(fa.index_bytes));
   registry.gauge("vbgp_fib_routes", labels)->set(i64(fa.routes));
   registry.gauge("vbgp_fib_unique_prefixes", labels)
       ->set(i64(fa.unique_prefixes));
@@ -509,8 +510,10 @@ std::string VRouter::show_summary() const {
       << snap.value("vbgp_fib_routes", vr) << " FIB routes, "
       << snap.value("vbgp_fib_unique_prefixes", vr)
       << " unique prefixes)\n";
-  out << "  fib store: " << shared / 1024 << " KiB shared, " << flat / 1024
-      << " KiB flat-equivalent, " << std::fixed << std::setprecision(1)
+  out << "  fib store: " << shared / 1024 << " KiB shared ("
+      << snap.value("vbgp_fib_index_bytes", vr) / 1024 << " KiB LPM index), "
+      << flat / 1024 << " KiB flat-equivalent, " << std::fixed
+      << std::setprecision(1)
       << (shared == 0 ? 1.0
                       : static_cast<double>(flat) /
                             static_cast<double>(shared))
@@ -588,7 +591,10 @@ void VRouter::handle_frame(int if_index, const ether::EthernetFrame& frame) {
   // whose routing table forwards this packet (§3.2.2).
   if (VirtualNeighbor* nb = registry_.by_mac(frame.dst)) {
     obs_demux_mac_hits_->inc();
-    egress_from_experiment(if_index, *nb, std::move(*packet));
+    // The filter reads the datagram as received; Ethernet padding stays out.
+    std::span<const std::uint8_t> wire(frame.payload.data(),
+                                       packet->total_length());
+    egress_from_experiment(if_index, *nb, wire, std::move(*packet));
     return;
   }
 
@@ -602,11 +608,11 @@ void VRouter::handle_frame(int if_index, const ether::EthernetFrame& frame) {
 }
 
 void VRouter::egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
+                                     std::span<const std::uint8_t> wire,
                                      ip::Ipv4Packet packet) {
   auto exp = experiment_for_interface(in_if);
   // Data-plane enforcement: source-address verification and rate limiting.
   if (data_enforcer_) {
-    Bytes wire = packet.encode();
     enforce::FilterAction action =
         data_enforcer_->check(exp.value_or("<unknown>"), wire, loop_->now());
     if (action == enforce::FilterAction::kDrop) {

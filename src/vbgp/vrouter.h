@@ -27,6 +27,7 @@
 #include <tuple>
 #include <unordered_map>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "bgp/speaker.h"
@@ -251,8 +252,10 @@ class VRouter : public ip::Host {
 
   void sync_fib(const bgp::RibRoute& route, bool withdrawn);
 
-  /// Data-plane paths.
+  /// Data-plane paths. `wire` is the received IPv4 datagram `packet` was
+  /// decoded from, the bytes the packet filter checks.
   void egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
+                              std::span<const std::uint8_t> wire,
                               ip::Ipv4Packet packet);
   void deliver_toward_experiment(int in_if, const ether::EthernetFrame& frame,
                                  ip::Ipv4Packet packet);

@@ -5,6 +5,7 @@
 // happens-before checking — a data race fails the suite even on one core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <string>
@@ -217,6 +218,87 @@ TEST(FibSetConcurrency, LookupsRaceSlotGrowthSafely) {
     EXPECT_EQ(fib.size(views[v]), static_cast<std::size_t>(kPrefixes));
   fib.collect_retired();
   EXPECT_EQ(fib.route_count(), static_cast<std::size_t>(kViews) * kPrefixes);
+}
+
+// Readers race the LPM index's growth: the writer installs prefixes in
+// /16s nothing covered before (each first insert allocates and publishes a
+// chunk, and the chunk and leaf tables grow under the readers), then /8s
+// that cover them (rewriting direct entries and every chunk entry beneath).
+// Everything lands in one view, so no reader ever needs the trie-walk
+// fallback: lookups touch only index entries, the tables, leaves and slots.
+// As in the slot-growth test, every payload is interned before the readers
+// start. Every hit must name a route of the plan with the next hop of its
+// length, and the prefix must contain the probe.
+TEST(FibSetConcurrency, LookupsRaceIndexGrowthSafely) {
+  // 64 /16s x 256 prefixes: more leaves than the leaf table's first 16
+  // segments hold, and a /24 chunk under every /28.
+  constexpr int kSixteens = 64;
+  constexpr int kPerSixteen = 256;
+  ip::FibSet fib;
+  const ip::FibSet::ViewId view = fib.create_view();
+  // Next hop 10.0.0.<length>: a hit is checkable without writer state.
+  auto route_for = [](const Ipv4Prefix& p) {
+    return ip::Route{p,
+                     Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(p.length())),
+                     0, 0};
+  };
+  // Unrelated prefixes of the plan's lengths allocate the index and
+  // intern every payload before the readers start.
+  for (const char* warm : {"192.0.0.0/8", "192.0.2.0/24", "192.0.2.16/28"})
+    fib.insert(view, route_for(*Ipv4Prefix::parse(warm)));
+
+  std::vector<Ipv4Prefix> plan;
+  for (int s = 0; s < kSixteens; ++s) {
+    const std::uint32_t base = (static_cast<std::uint32_t>(20 + s / 16) << 24) |
+                               (static_cast<std::uint32_t>(s % 16 * 16) << 16);
+    for (int j = 0; j < kPerSixteen; ++j) {
+      plan.emplace_back(Ipv4Address(base | (static_cast<std::uint32_t>(j) << 8)),
+                        j % 2 == 0 ? 24 : 28);
+    }
+  }
+  for (int s = 0; s < kSixteens / 16; ++s)
+    plan.emplace_back(Ipv4Address(static_cast<std::uint32_t>(20 + s) << 24), 8);
+  std::vector<Ipv4Prefix> sorted_plan = plan;
+  std::sort(sorted_plan.begin(), sorted_plan.end());
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> hits{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      std::uint64_t local = 0;
+      std::uint32_t x = 0x9e3779b9u * static_cast<std::uint32_t>(t + 1);
+      do {
+        for (const auto& p : plan) {
+          x = x * 1664525u + 1013904223u;
+          const Ipv4Address probe(p.address().value() | (x & ~p.mask()));
+          auto got = fib.lookup(view, probe);
+          if (!got) continue;
+          EXPECT_TRUE(got->prefix.contains(probe)) << probe.str();
+          EXPECT_TRUE(std::binary_search(sorted_plan.begin(),
+                                         sorted_plan.end(), got->prefix))
+              << got->prefix.str();
+          EXPECT_EQ(got->next_hop, route_for(got->prefix).next_hop);
+          ++local;
+        }
+      } while (!done.load(std::memory_order_acquire));
+      hits.fetch_add(local, std::memory_order_relaxed);
+    });
+  }
+  for (const auto& p : plan) fib.insert(view, route_for(p));
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  EXPECT_GT(hits.load(), 0u);
+
+  // Quiesced: every planned route is installed and answers for its own
+  // first address unless a longer planned prefix does; at least the plan's
+  // /16 chunks are accounted.
+  for (const auto& p : plan) {
+    EXPECT_TRUE(fib.exact(view, p).has_value()) << p.str();
+    EXPECT_GE(fib.lookup(view, p.address())->prefix.length(), p.length());
+  }
+  EXPECT_GE(fib.index_bytes(), static_cast<std::size_t>(kSixteens) * 1024);
+  fib.collect_retired();
 }
 
 /// Builds a small fan-in topology (3 feeder peers into one speaker under

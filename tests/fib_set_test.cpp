@@ -5,7 +5,9 @@
 // ablation depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "ip/fib_set.h"
@@ -213,86 +215,216 @@ TEST(FibSet, UnboundViewReadsEmptyAndIgnoresWrites) {
   unbound.clear();  // no-op, must not crash
 }
 
+TEST(FibSet, IndexChunksFollowLongerPrefixes) {
+  // A /16 holding a longer prefix gets a chunk, a /24 holding one longer
+  // than /24 another; each goes when its last longer prefix leaves every
+  // view, and the index goes with the last prefix. Chunks store runs of
+  // equal entries, so a sparse one costs far less than 256 flat entries.
+  constexpr std::size_t kFlatChunkBytes = 256 * 4;
+  FibSet set;
+  FibView a = set.make_view();
+  FibView b = set.make_view();
+  EXPECT_EQ(set.index_bytes(), 0u);  // nothing allocated up front
+  a.insert(route("10.1.0.0/16", 1));
+  const std::size_t direct_only = set.index_bytes();
+  EXPECT_GE(direct_only, (std::size_t{1} << 16) * 4);
+  a.insert(route("10.1.7.0/24", 2));
+  const std::size_t one_chunk = set.index_bytes();
+  EXPECT_GT(one_chunk, direct_only);
+  EXPECT_LT(one_chunk - direct_only, kFlatChunkBytes / 2);
+  b.insert(route("10.1.7.128/25", 3));
+  const std::size_t two_chunks = set.index_bytes();
+  EXPECT_GT(two_chunks, one_chunk);
+  a.insert(route("10.1.7.128/25", 4));  // another view: no index work
+  EXPECT_EQ(set.index_bytes(), two_chunks);
+
+  EXPECT_EQ(a.lookup(Ipv4Address(10, 1, 7, 200))->next_hop.value(), 4u);
+  EXPECT_EQ(a.lookup(Ipv4Address(10, 1, 7, 1))->next_hop.value(), 2u);
+  EXPECT_EQ(b.lookup(Ipv4Address(10, 1, 7, 1)), std::nullopt);
+
+  a.remove(*Ipv4Prefix::parse("10.1.7.128/25"));
+  EXPECT_EQ(set.index_bytes(), two_chunks);  // b still has it
+  b.remove(*Ipv4Prefix::parse("10.1.7.128/25"));
+  const std::size_t back_to_one = set.index_bytes();
+  EXPECT_LT(back_to_one, two_chunks);
+  EXPECT_EQ(a.lookup(Ipv4Address(10, 1, 7, 200))->next_hop.value(), 2u);
+  a.remove(*Ipv4Prefix::parse("10.1.7.0/24"));
+  EXPECT_LT(set.index_bytes(), back_to_one);
+  EXPECT_EQ(a.lookup(Ipv4Address(10, 1, 7, 200))->next_hop.value(), 1u);
+
+  // Every other /24 of a /16: 256 runs, a chunk grown to full size.
+  for (std::uint32_t i = 0; i < 256; i += 2)
+    a.insert(Route{Ipv4Prefix(Ipv4Address((10u << 24) | (1u << 16) | (i << 8)), 24),
+                   Ipv4Address(100 + i), 0, 0});
+  EXPECT_GE(set.index_bytes(), direct_only + kFlatChunkBytes);
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    const auto got = a.lookup(Ipv4Address((10u << 24) | (1u << 16) | (i << 8) | 9));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->next_hop.value(), i % 2 == 0 ? 100 + i : 1u) << i;
+  }
+  a.clear();
+  EXPECT_EQ(set.index_bytes(), 0u);
+  EXPECT_EQ(a.lookup(Ipv4Address(10, 1, 7, 200)), std::nullopt);
+}
+
 // ---------------------------------------------------------------------------
-// Differential test: a FibView and a legacy RoutingTable fed the identical
-// randomized insert/remove sequence must answer every lookup identically.
+// Differential test: FibViews and legacy RoutingTables fed the identical
+// randomized insert/remove/clear/release sequence must answer every lookup
+// identically. Four views share one set, so a view's deepest covering
+// prefix is often another view's (the index falls back to the walk), and
+// foreign prefixes are de-indexed while a view still relies on the covering
+// prefixes around them. Lengths span /0-/8 (many direct entries and chunks)
+// up to /32 (more than an eighth past /24), and probes aim at prefix and
+// /16-chunk edges as well as uniform addresses.
 // ---------------------------------------------------------------------------
 
 class FibViewDifferentialTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FibViewDifferentialTest, MatchesRoutingTable) {
+  constexpr std::size_t kViews = 4;
+  constexpr std::uint32_t kNextHops = 16;
+  constexpr int kInterfaces = 8;
   Rng rng(GetParam());
   FibSet set;
-  // Other views churn concurrently so the shared trie holds foreign state
-  // the view under test must never observe.
-  FibView subject = set.make_view();
-  FibView noise_a = set.make_view();
-  FibView noise_b = set.make_view();
-  RoutingTable legacy;
-  std::vector<Ipv4Prefix> present;
+  std::vector<FibView> views;
+  for (std::size_t v = 0; v < kViews; ++v) views.push_back(set.make_view());
+  std::vector<RoutingTable> legacy(kViews);
+  std::vector<std::vector<Ipv4Prefix>> present(kViews);
 
+  // Warm the payload pool (every payload at once) and the view free list,
+  // so the set's empty footprint is final before the run: afterwards,
+  // emptying every view must give back exactly this many bytes.
+  for (std::uint32_t nh = 0; nh < kNextHops; ++nh)
+    for (int ifidx = 0; ifidx < kInterfaces; ++ifidx)
+      views[0].insert(Route{
+          Ipv4Prefix(Ipv4Address((10u << 24) | (nh << 16) |
+                                 (static_cast<std::uint32_t>(ifidx) << 8)),
+                     24),
+          Ipv4Address(1 + nh), ifidx, 0});
+  views[kViews - 1] = FibView();
+  views[kViews - 1] = set.make_view();
+  views[0].clear();
+  ASSERT_EQ(set.index_bytes(), 0u);
+  const std::size_t empty_bytes = set.memory_bytes();
+
+  auto random_length = [&]() -> int {
+    double r = rng.uniform();
+    if (r < 0.10) return static_cast<int>(rng.range(0, 8));
+    if (r < 0.30) return static_cast<int>(rng.range(25, 32));
+    return static_cast<int>(rng.range(9, 24));
+  };
   auto random_prefix = [&]() {
-    std::uint8_t len = static_cast<std::uint8_t>(rng.range(0, 32));
+    // Half the prefixes crowd four /12s so they nest and share chunks.
     std::uint32_t addr = static_cast<std::uint32_t>(rng.next()) &
                          (rng.chance(0.5) ? 0x0a0fffffu : 0xffffffffu);
-    return Ipv4Prefix(Ipv4Address(addr), len);
+    return Ipv4Prefix(Ipv4Address(addr), random_length());
+  };
+  auto random_route = [&](const Ipv4Prefix& prefix) {
+    return Route{prefix,
+                 Ipv4Address(1 + static_cast<std::uint32_t>(rng.below(kNextHops))),
+                 static_cast<int>(rng.below(kInterfaces)), 0};
+  };
+  auto insert = [&](std::size_t v, const Route& r) {
+    bool replaced_view = views[v].insert(r);
+    bool replaced_legacy = legacy[v].insert(r);
+    EXPECT_EQ(replaced_view, replaced_legacy);
+    if (!replaced_legacy) present[v].push_back(r.prefix);
+  };
+  auto any_present = [&]() -> std::optional<Ipv4Prefix> {
+    std::size_t v = rng.below(kViews);
+    if (present[v].empty()) return std::nullopt;
+    return present[v][rng.below(present[v].size())];
+  };
+  auto probe_address = [&]() -> Ipv4Address {
+    double r = rng.uniform();
+    auto p = any_present();
+    if (r < 0.5 || !p) return Ipv4Address(static_cast<std::uint32_t>(rng.next()));
+    const std::uint32_t first = p->address().value();
+    const std::uint32_t last = first | ~p->mask();
+    if (r < 0.8) {
+      // The prefix's first or last address, or one past either edge.
+      const std::uint32_t edge = rng.chance(0.5) ? first : last;
+      const std::uint32_t delta = static_cast<std::uint32_t>(rng.range(0, 2)) - 1;
+      return Ipv4Address(edge + delta);
+    }
+    // Either side of the /16 chunk boundaries around the prefix.
+    const std::uint32_t chunk = (rng.chance(0.5) ? first : last) & 0xffff0000u;
+    return Ipv4Address(rng.chance(0.5) ? chunk - rng.below(2)
+                                       : chunk + 0xffffu + rng.below(2));
   };
 
-  for (int step = 0; step < 3000; ++step) {
-    double action = rng.uniform();
-    if (action < 0.45) {
-      Route r{random_prefix(),
-              Ipv4Address(static_cast<std::uint32_t>(rng.next())),
-              static_cast<int>(rng.below(8)), 0};
-      bool replaced_view = subject.insert(r);
-      bool replaced_legacy = legacy.insert(r);
-      EXPECT_EQ(replaced_view, replaced_legacy);
-      if (!replaced_legacy) present.push_back(r.prefix);
-    } else if (action < 0.60 && !present.empty()) {
-      std::size_t idx = rng.below(present.size());
-      Ipv4Prefix victim = present[idx];
-      EXPECT_EQ(subject.remove(victim), legacy.remove(victim));
-      present[idx] = present.back();
-      present.pop_back();
-    } else if (action < 0.70) {
-      // Foreign churn: must be invisible to the subject view.
-      Route r{random_prefix(),
-              Ipv4Address(static_cast<std::uint32_t>(rng.next())), 1, 0};
-      if (rng.chance(0.5))
-        noise_a.insert(r);
-      else
-        noise_b.insert(r);
+  for (int step = 0; step < 4000; ++step) {
+    const std::size_t v = rng.below(kViews);
+    const double action = rng.uniform();
+    if (action < 0.35) {
+      // Often a prefix another view holds, or one nested in it.
+      Ipv4Prefix prefix = random_prefix();
+      auto other = any_present();
+      if (other && rng.chance(0.4)) {
+        int len = std::min(32, other->length() + static_cast<int>(rng.range(0, 8)));
+        prefix = Ipv4Prefix(
+            Ipv4Address(other->address().value() |
+                        (static_cast<std::uint32_t>(rng.next()) & ~other->mask())),
+            len);
+      }
+      insert(v, random_route(prefix));
+    } else if (action < 0.55 && !present[v].empty()) {
+      std::size_t idx = rng.below(present[v].size());
+      Ipv4Prefix victim = present[v][idx];
+      EXPECT_EQ(views[v].remove(victim), legacy[v].remove(victim));
+      present[v][idx] = present[v].back();
+      present[v].pop_back();
+    } else if (action < 0.56 && v != 0) {
+      // Drop a whole noise view, by clear() or by release and re-create.
+      if (rng.chance(0.5)) {
+        views[v].clear();
+      } else {
+        views[v] = FibView();
+        views[v] = set.make_view();
+      }
+      legacy[v].clear();
+      present[v].clear();
     } else {
-      Ipv4Address probe(static_cast<std::uint32_t>(rng.next()));
-      auto got = subject.lookup(probe);
-      auto want = legacy.lookup(probe);
-      ASSERT_EQ(got.has_value(), want.has_value()) << "probe " << probe.str();
-      if (want) {
-        EXPECT_EQ(got->prefix, want->prefix) << "probe " << probe.str();
-        EXPECT_EQ(got->next_hop, want->next_hop);
-        EXPECT_EQ(got->interface, want->interface);
+      Ipv4Address probe = probe_address();
+      for (std::size_t w = 0; w < kViews; ++w) {
+        auto got = views[w].lookup(probe);
+        auto want = legacy[w].lookup(probe);
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "view " << w << " probe " << probe.str();
+        if (want) {
+          EXPECT_EQ(got->prefix, want->prefix) << "probe " << probe.str();
+          EXPECT_EQ(got->next_hop, want->next_hop);
+          EXPECT_EQ(got->interface, want->interface);
+        }
       }
     }
-    ASSERT_EQ(subject.size(), legacy.size());
+    ASSERT_EQ(views[v].size(), legacy[v].size());
   }
 
   // Final sweep: exact() must agree on every surviving prefix, and visit()
   // must enumerate identical route sets.
-  for (const auto& p : present) {
-    auto got = subject.exact(p);
-    auto want = legacy.exact(p);
-    ASSERT_TRUE(got.has_value() && want.has_value());
-    EXPECT_EQ(got->next_hop, want->next_hop);
+  for (std::size_t v = 0; v < kViews; ++v) {
+    for (const auto& p : present[v]) {
+      auto got = views[v].exact(p);
+      auto want = legacy[v].exact(p);
+      ASSERT_TRUE(got.has_value() && want.has_value());
+      EXPECT_EQ(got->next_hop, want->next_hop);
+    }
+    std::map<Ipv4Prefix, Route> seen_view, seen_legacy;
+    views[v].visit([&](const Route& r) { seen_view[r.prefix] = r; });
+    legacy[v].visit([&](const Route& r) { seen_legacy[r.prefix] = r; });
+    EXPECT_EQ(seen_view.size(), seen_legacy.size());
+    for (const auto& [p, r] : seen_legacy) {
+      ASSERT_TRUE(seen_view.count(p)) << p.str();
+      EXPECT_EQ(seen_view[p], r);
+    }
   }
-  std::map<Ipv4Prefix, Route> seen_view, seen_legacy;
-  subject.visit([&](const Route& r) { seen_view[r.prefix] = r; });
-  legacy.visit([&](const Route& r) { seen_legacy[r.prefix] = r; });
-  EXPECT_EQ(seen_view.size(), seen_legacy.size());
-  for (const auto& [p, r] : seen_legacy) {
-    ASSERT_TRUE(seen_view.count(p)) << p.str();
-    EXPECT_EQ(seen_view[p], r);
-  }
+
+  // Emptying every view leaves no chunk, id table or trie node behind.
+  for (auto& view : views) view.clear();
+  EXPECT_EQ(set.index_bytes(), 0u);
+  EXPECT_EQ(set.memory_bytes(), empty_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FibViewDifferentialTest,

@@ -370,6 +370,53 @@ TEST_F(DelegationTest, SpoofedTrafficDroppedAtDataPlane) {
   EXPECT_GE(e1_.stats().packets_enforcement_drop, 1u);
 }
 
+TEST_F(DelegationTest, DataPlaneFilterSeesTheBytesTheExperimentSent) {
+  // A filter that passes only ECN CE (TOS low bits 11) with the DF flag
+  // clear, in a 28-byte datagram. The router must hand it the received
+  // bytes: a re-encoded header would carry ECN 0 and DF, and Ethernet
+  // padding would lengthen it.
+  auto filter = enforce::PacketFilter::load(enforce::FilterBuilder()
+                                                .load_byte(1)
+                                                .and_(0x3)
+                                                .jmp_eq(0x3, 0, 6)
+                                                .load_word(4)
+                                                .and_(0xffff)
+                                                .jmp_eq(0x0000, 0, 3)
+                                                .load_len()
+                                                .jmp_eq(28, 0, 1)
+                                                .ret_pass()
+                                                .ret_drop()
+                                                .take());
+  ASSERT_TRUE(filter.ok());
+  data_.install("x1", std::move(*filter), {});
+
+  auto send = [&](std::uint8_t ecn) {
+    ip::Ipv4Packet packet;
+    packet.src = Ipv4Address(184, 164, 224, 1);
+    packet.dst = kDestHost;
+    packet.payload = Bytes(8, 0x5a);
+    Bytes wire = packet.encode();
+    wire[1] = static_cast<std::uint8_t>(wire[1] | ecn);
+    wire[6] = 0;  // flags: DF clear
+    wire[10] = wire[11] = 0;
+    const std::uint16_t checksum =
+        ip::internet_checksum(std::span<const std::uint8_t>(wire).first(20));
+    wire[10] = static_cast<std::uint8_t>(checksum >> 8);
+    wire[11] = static_cast<std::uint8_t>(checksum);
+    wire.resize(46, 0);  // minimum Ethernet payload
+    x1_.host.interface(0).send(ether::make_frame(virtual_mac_of(peer_n1_),
+                                                 mac(21), ether::EtherType::kIpv4,
+                                                 std::move(wire)));
+    settle(Duration::seconds(1));
+  };
+  send(0x3);
+  EXPECT_EQ(n1_.received_from_experiment, 1);
+  EXPECT_EQ(e1_.stats().packets_enforcement_drop, 0u);
+  send(0x0);  // Not-ECT: the filter really reads the TOS byte
+  EXPECT_EQ(n1_.received_from_experiment, 1);
+  EXPECT_EQ(e1_.stats().packets_enforcement_drop, 1u);
+}
+
 TEST_F(DelegationTest, ExperimentsAreIsolatedFromEachOther) {
   bgp::PathAttributes attrs;
   x1_.speaker.originate(pfx("184.164.224.0/24"), attrs);
