@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bgp/adj_rib_out.h"
 #include "netbase/log.h"
 
 namespace peering::bgp {
@@ -28,10 +29,8 @@ const Ipv4Address kNhPlaceholder(255, 255, 255, 255);
 
 /// An advertisement currently installed in the Adj-RIB-Out toward a peer:
 /// the shared group template plus the final (post-splice) next-hop that
-/// actually went on the wire.
+/// actually went on the wire. The origin it came from is its OutPath's key.
 struct OutRoute {
-  PeerId origin_peer = 0;
-  std::uint32_t origin_path_id = 0;
   AttrsPtr attrs;
   Ipv4Address next_hop;
 };
@@ -72,12 +71,15 @@ struct BgpSpeaker::Session {
     bool active = false;
     OutRoute route;
   };
-  struct PrefixOut {
-    std::vector<OutPath> paths;
-  };
-  /// Hashed on the prefix: encode probes it once per prefix and nothing
-  /// needs prefix order (full-table walks dump into a sorted vector first).
-  std::unordered_map<Ipv4Prefix, PrefixOut> adj_out;
+  using PrefixOut = std::vector<OutPath>;
+  /// Prefix -> paths, in the flat open-addressed AdjRibOut table: encode
+  /// probes it once per member per prefix, so the key sits inline in a
+  /// 32-byte slot beside the path vector. Nothing needs prefix order —
+  /// every whole-table walk sorts what it collects. The slot array doubles
+  /// as the table grows (a full-table sync costs ~log2 rehashes, not one
+  /// per flush) and is freed when the session goes down.
+  AdjRibOut<PrefixOut> adj_out;
+  static_assert(sizeof(AdjRibOut<PrefixOut>::Slot) == 32);
   std::uint32_t next_out_id = 1;
 
   /// Export-group membership: the group this established session belongs
@@ -271,9 +273,9 @@ std::vector<AttrsPtr> BgpSpeaker::adj_rib_out_attrs(
     PeerId peer, const Ipv4Prefix& prefix) const {
   std::vector<AttrsPtr> out;
   const Session& s = *sessions_.at(peer);
-  auto it = s.adj_out.find(prefix);
-  if (it == s.adj_out.end()) return out;
-  for (const auto& path : it->second.paths) {
+  const Session::PrefixOut* paths = s.adj_out.find(prefix);
+  if (paths == nullptr) return out;
+  for (const auto& path : *paths) {
     if (!path.active) continue;
     const OutRoute& route = path.route;
     if (!route.attrs || route.attrs->next_hop == route.next_hop) {
@@ -297,13 +299,14 @@ std::vector<BgpSpeaker::AdjOutEntry> BgpSpeaker::adj_rib_out(
     PeerId peer) const {
   std::vector<AdjOutEntry> out;
   const Session& s = *sessions_.at(peer);
-  for (const auto& [prefix, po] : s.adj_out) {
-    for (const auto& path : po.paths) {
-      if (!path.active) continue;
-      out.push_back(AdjOutEntry{prefix, path.local_id, path.route.origin_peer,
-                                path.route.attrs, path.route.next_hop});
-    }
-  }
+  s.adj_out.for_each(
+      [&](const Ipv4Prefix& prefix, const Session::PrefixOut& paths) {
+        for (const auto& path : paths) {
+          if (!path.active) continue;
+          out.push_back(AdjOutEntry{prefix, path.local_id, path.origin,
+                                    path.route.attrs, path.route.next_hop});
+        }
+      });
   // adj_out is hashed; (prefix, local id) is the canonical dump order.
   std::sort(out.begin(), out.end(),
             [](const AdjOutEntry& a, const AdjOutEntry& b) {
@@ -406,8 +409,9 @@ void BgpSpeaker::handle_message(PeerId peer, BgpMessage message) {
     // peer re-applies policy to routes that are unchanged on our side.
     Session& s = *sessions_.at(peer);
     if (s.state == SessionState::kEstablished) {
-      for (auto& [prefix, po] : s.adj_out)
-        for (auto& path : po.paths) path.route.attrs.reset();
+      s.adj_out.for_each([](const Ipv4Prefix&, Session::PrefixOut& paths) {
+        for (auto& path : paths) path.route.attrs.reset();
+      });
       reevaluate_exports(peer);
     }
   } else {
@@ -1117,7 +1121,10 @@ void BgpSpeaker::drain_flush_batch(SimTime at) {
       } else {
         loc_rib_.visit_all(
             [&](const RibRoute& route) { prefixes.push_back(route.prefix); });
-        for (const auto& [prefix, out] : s.adj_out) prefixes.push_back(prefix);
+        s.adj_out.for_each([&](const Ipv4Prefix& prefix,
+                               const Session::PrefixOut&) {
+          prefixes.push_back(prefix);
+        });
         std::sort(prefixes.begin(), prefixes.end());
         prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
                        prefixes.end());
@@ -1271,10 +1278,6 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
   const bool stream_open = s.stream && s.stream->open();
   const ExportClass* cls = groups_.at(s.group)->cls.get();
   std::vector<NlriEntry> withdrawals;
-  // A full-table sync lands here with one prefix per Loc-RIB entry;
-  // reserving up front avoids incremental rehashes of a large Adj-RIB-Out.
-  if (s.adj_out.size() + prefixes.size() > s.adj_out.bucket_count())
-    s.adj_out.reserve(s.adj_out.size() + prefixes.size());
 
   std::vector<std::pair<std::uint32_t, const GroupAdvert*>> desired;
   std::vector<NlriEntry> nlri;
@@ -1292,8 +1295,8 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
       aend = abegin + count;
     }
 
-    auto poit = s.adj_out.find(prefix);
-    if (abegin == aend && poit == s.adj_out.end()) continue;
+    Session::PrefixOut* po = s.adj_out.find(prefix);
+    if (abegin == aend && po == nullptr) continue;
 
     // Member-level selection over the group templates: split horizon,
     // the class's admit gate, local path-id allocation.
@@ -1305,9 +1308,8 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
         continue;
       std::uint32_t local_id = 0;
       if (s.addpath_tx) {
-        if (poit == s.adj_out.end())
-          poit = s.adj_out.emplace(prefix, Session::PrefixOut{}).first;
-        auto& paths = poit->second.paths;
+        if (po == nullptr) po = &s.adj_out.emplace(prefix);
+        auto& paths = *po;
         auto idit =
             std::find_if(paths.begin(), paths.end(), [&](const auto& p) {
               return p.origin == advert.origin &&
@@ -1323,12 +1325,12 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
       desired.emplace_back(local_id, &advert);
     }
     if (!s.addpath_tx && desired.size() > 1) desired.resize(1);
-    if (poit == s.adj_out.end()) {
+    if (po == nullptr) {
       if (desired.empty()) continue;
-      poit = s.adj_out.emplace(prefix, Session::PrefixOut{}).first;
+      po = &s.adj_out.emplace(prefix);
     }
 
-    auto& paths = poit->second.paths;
+    auto& paths = *po;
 
     // Withdraw adverts that are no longer desired. `paths` is sorted by
     // ascending local id (ids are allocated monotonically), matching the
@@ -1372,8 +1374,7 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
       it->active = true;
       it->origin = advert->origin;
       it->origin_path_id = advert->origin_path_id;
-      it->route = OutRoute{advert->origin, advert->origin_path_id,
-                           advert->attrs, final_nh};
+      it->route = OutRoute{advert->attrs, final_nh};
       if (stream_open) {
         nlri.assign(1, {id, prefix});
         if (advert->wire != nullptr) {
@@ -1405,7 +1406,7 @@ BgpSpeaker::EncodeResult BgpSpeaker::encode_member(
     // No desired paths means everything was withdrawn: drop the entry (and
     // with it the id mapping — matching the previous representation, which
     // erased once no route remained).
-    if (desired.empty()) s.adj_out.erase(poit);
+    if (desired.empty()) s.adj_out.erase(prefix);
   }
 
   if (!withdrawals.empty()) {
@@ -1553,6 +1554,22 @@ std::size_t BgpSpeaker::memory_bytes() const {
   return bytes;
 }
 
+std::size_t BgpSpeaker::adj_rib_out_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [id, session] : sessions_) {
+    bytes += session->adj_out.slot_bytes();
+    session->adj_out.for_each(
+        [&](const Ipv4Prefix&, const Session::PrefixOut& paths) {
+          bytes += paths.capacity() * sizeof(Session::OutPath);
+        });
+  }
+  return bytes;
+}
+
+std::uint64_t BgpSpeaker::adj_rib_out_grows(PeerId peer) const {
+  return sessions_.at(peer)->adj_out.grows();
+}
+
 void BgpSpeaker::publish_metrics(obs::Registry& registry) const {
   auto i64 = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
   obs::Labels labels{{"speaker", name_}};
@@ -1572,6 +1589,8 @@ void BgpSpeaker::publish_metrics(obs::Registry& registry) const {
       ->set(i64(loc_rib_.prefix_count()));
   registry.gauge("bgp_locrib_paths", labels)->set(i64(loc_rib_.route_count()));
   registry.gauge("bgp_memory_bytes", labels)->set(i64(memory_bytes()));
+  registry.gauge("bgp_adj_rib_out_bytes", labels)
+      ->set(i64(adj_rib_out_bytes()));
   registry.gauge("bgp_pipeline_partitions", labels)
       ->set(static_cast<std::int64_t>(pmap_.partitions()));
   registry.gauge("bgp_pipeline_workers", labels)

@@ -332,6 +332,15 @@ class BgpSpeaker {
   /// "control plane" quantity).
   std::size_t memory_bytes() const;
 
+  /// Bytes held by every session's Adj-RIB-Out: the slot arrays plus the
+  /// capacity of their path vectors. Not part of memory_bytes(), whose
+  /// scope (RIB-In, Loc-RIB, attribute pool) the Figure 6a and soak
+  /// memory numbers are defined over.
+  std::size_t adj_rib_out_bytes() const;
+  /// Times `peer`'s Adj-RIB-Out slot array has doubled — a host-independent
+  /// work count for guarding the table's growth policy.
+  std::uint64_t adj_rib_out_grows(PeerId peer) const;
+
   std::uint64_t total_updates_received() const { return total_updates_rx_; }
   std::uint64_t total_updates_sent() const { return total_updates_tx_; }
 
