@@ -21,27 +21,27 @@ bool NetIf::owns_address(Ipv4Address addr) const {
 void NetIf::attach(sim::Link& link, bool side_a) {
   tx_ = side_a ? &link.a_to_b() : &link.b_to_a();
   auto& rx = side_a ? link.b_to_a() : link.a_to_b();
-  rx.set_receiver([this](const Bytes& wire) { receive(wire); });
+  rx.set_receiver([this](Bytes& wire) { receive(wire); });
 }
 
-bool NetIf::send(const EthernetFrame& frame) {
+bool NetIf::send(Bytes wire) {
   if (!tx_) return false;
-  return tx_->send(frame.encode());
+  return tx_->send(std::move(wire));
 }
 
-void NetIf::receive(const Bytes& wire) {
-  auto frame = EthernetFrame::decode(wire);
-  if (!frame) {
+void NetIf::receive(Bytes& wire) {
+  auto header = parse_header(wire);
+  if (!header) {
     LOG_WARN("netif", name_ << ": dropping malformed frame: "
-                            << frame.error().message);
+                            << header.error().message);
     return;
   }
-  if (!promiscuous_ && frame->dst != mac_ && !frame->dst.is_broadcast()) {
+  if (!promiscuous_ && header->dst != mac_ && !header->dst.is_broadcast()) {
     ++frames_filtered_;
     return;
   }
   ++frames_received_;
-  if (handler_) handler_(*frame);
+  if (handler_) handler_(*header, wire);
 }
 
 }  // namespace peering::ether

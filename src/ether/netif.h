@@ -25,7 +25,10 @@ struct InterfaceAddress {
 
 class NetIf {
  public:
-  using Handler = std::function<void(const EthernetFrame&)>;
+  /// Receives an accepted frame: its parsed header and the received wire
+  /// buffer, which the handler may modify or move from (forwarding sends the
+  /// same buffer out of the egress interface).
+  using Handler = std::function<void(const FrameHeader&, Bytes& wire)>;
 
   NetIf(std::string name, MacAddress mac) : name_(std::move(name)), mac_(mac) {}
 
@@ -57,13 +60,15 @@ class NetIf {
   void on_frame(Handler handler) { handler_ = std::move(handler); }
 
   /// Transmits a frame. Returns false if unattached or dropped by the link.
-  bool send(const EthernetFrame& frame);
+  bool send(const EthernetFrame& frame) { return send(frame.encode()); }
+  /// Transmits wire bytes as they are; the buffer moves into the link.
+  bool send(Bytes wire);
 
   std::uint64_t frames_received() const { return frames_received_; }
   std::uint64_t frames_filtered() const { return frames_filtered_; }
 
  private:
-  void receive(const Bytes& wire);
+  void receive(Bytes& wire);
 
   std::string name_;
   MacAddress mac_;

@@ -1,8 +1,5 @@
 #include "ether/switch.h"
 
-#include <algorithm>
-#include <array>
-
 namespace peering::ether {
 
 std::size_t Switch::attach(sim::Link& link, bool side_a) {
@@ -12,26 +9,20 @@ std::size_t Switch::attach(sim::Link& link, bool side_a) {
   sim::LinkDirection* rx = side_a ? &link.b_to_a() : &link.a_to_b();
   std::size_t port = ports_.size();
   ports_.push_back(tx);
-  rx->set_receiver([this, port](const Bytes& wire) { receive(port, wire); });
+  rx->set_receiver([this, port](Bytes& wire) { receive(port, wire); });
   return port;
 }
 
-void Switch::receive(std::size_t in_port, const Bytes& wire) {
-  // Peek at the source/destination MACs without a full decode.
-  if (wire.size() < 14) return;
-  std::array<std::uint8_t, 6> raw{};
-  std::copy(wire.begin(), wire.begin() + 6, raw.begin());
-  MacAddress dst(raw);
-  std::copy(wire.begin() + 6, wire.begin() + 12, raw.begin());
-  MacAddress src(raw);
+void Switch::receive(std::size_t in_port, Bytes& wire) {
+  auto header = parse_header(wire);
+  if (!header) return;
+  mac_table_[header->src] = in_port;
 
-  mac_table_[src] = in_port;
-
-  if (!dst.is_broadcast()) {
-    auto it = mac_table_.find(dst);
+  if (!header->dst.is_broadcast()) {
+    auto it = mac_table_.find(header->dst);
     if (it != mac_table_.end()) {
       if (it->second != in_port) {
-        ports_[it->second]->send(wire);
+        ports_[it->second]->send(std::move(wire));
         ++frames_forwarded_;
       }
       return;

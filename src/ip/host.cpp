@@ -10,8 +10,8 @@ Host::Host(sim::EventLoop* loop, std::string name)
 ether::NetIf& Host::add_interface(const std::string& if_name, MacAddress mac) {
   auto nif = std::make_unique<ether::NetIf>(name_ + "/" + if_name, mac);
   int index = static_cast<int>(interfaces_.size());
-  nif->on_frame([this, index](const ether::EthernetFrame& frame) {
-    handle_frame(index, frame);
+  nif->on_frame([this, index](const ether::FrameHeader& eth, Bytes& wire) {
+    handle_frame(index, eth, wire);
   });
   interfaces_.push_back(std::move(nif));
   arp_caches_.emplace_back();
@@ -56,7 +56,7 @@ bool Host::send_packet(Ipv4Packet packet) {
     packet.src = interface(route->interface).primary_address();
   Ipv4Address gateway =
       route->next_hop.is_zero() ? packet.dst : route->next_hop;
-  transmit(route->interface, gateway, std::move(packet));
+  transmit(route->interface, gateway, packet.encode(ether::kHeaderLength));
   return true;
 }
 
@@ -68,18 +68,21 @@ bool Host::ping(Ipv4Address dst, std::uint16_t id, std::uint16_t seq) {
   return send_packet(std::move(pkt));
 }
 
-void Host::handle_frame(int if_index, const ether::EthernetFrame& frame) {
-  if (frame.ethertype == static_cast<std::uint16_t>(ether::EtherType::kArp)) {
-    auto msg = ether::ArpMessage::decode(frame.payload);
+void Host::handle_frame(int if_index, const ether::FrameHeader& eth,
+                        Bytes& wire) {
+  const auto payload =
+      std::span<const std::uint8_t>(wire).subspan(eth.header_length);
+  if (eth.ethertype == static_cast<std::uint16_t>(ether::EtherType::kArp)) {
+    auto msg = ether::ArpMessage::decode(payload);
     if (msg) handle_arp(if_index, *msg);
     return;
   }
-  if (frame.ethertype == static_cast<std::uint16_t>(ether::EtherType::kIpv4)) {
-    auto packet = Ipv4Packet::decode(frame.payload);
-    if (packet) {
-      handle_ipv4(if_index, *packet, frame);
+  if (eth.ethertype == static_cast<std::uint16_t>(ether::EtherType::kIpv4)) {
+    auto ip = parse_ipv4_header(payload);
+    if (ip) {
+      handle_ipv4(if_index, eth, *ip, wire);
     } else {
-      LOG_WARN("host", name_ << ": malformed IPv4: " << packet.error().message);
+      LOG_WARN("host", name_ << ": malformed IPv4: " << ip.error().message);
     }
   }
 }
@@ -99,18 +102,20 @@ void Host::handle_arp(int if_index, const ether::ArpMessage& msg) {
   }
 }
 
-void Host::handle_ipv4(int if_index, const Ipv4Packet& packet,
-                       const ether::EthernetFrame& frame) {
-  if (owns_address(packet.dst)) {
+void Host::handle_ipv4(int if_index, const ether::FrameHeader& eth,
+                       const Ipv4Header& ip, Bytes& wire) {
+  if (owns_address(ip.dst)) {
     ++packets_delivered_;
-    if (packet.protocol == static_cast<std::uint8_t>(IpProto::kIcmp)) {
-      respond_echo(if_index, packet);
+    auto packet = Ipv4Packet::decode(datagram(wire, eth, ip));
+    if (packet->protocol == static_cast<std::uint8_t>(IpProto::kIcmp)) {
+      respond_echo(if_index, *packet);
     }
-    if (packet_handler_) packet_handler_(packet, if_index, frame);
+    if (packet_handler_)
+      packet_handler_(*packet, if_index, *ether::EthernetFrame::decode(wire));
     return;
   }
   if (!forwarding_) return;
-  forward(if_index, packet);
+  forward(if_index, eth, ip, wire);
 }
 
 void Host::respond_echo(int if_index, const Ipv4Packet& packet) {
@@ -121,53 +126,53 @@ void Host::respond_echo(int if_index, const Ipv4Packet& packet) {
   send_packet(std::move(reply));
 }
 
-void Host::forward(int in_if, Ipv4Packet packet) {
-  if (packet.ttl <= 1) {
+void Host::forward(int in_if, const ether::FrameHeader& eth,
+                   const Ipv4Header& ip, Bytes& wire) {
+  const auto dgram = datagram(wire, eth, ip);
+  if (ip.ttl <= 1) {
     ++ttl_exceeded_sent_;
-    send_icmp_error(in_if, packet, make_time_exceeded(packet));
+    send_icmp_error(in_if, ip.src, make_time_exceeded(dgram));
     return;
   }
-  packet.ttl -= 1;
-  auto route = routes_.lookup(packet.dst);
+  decrement_ttl(dgram);
+  auto route = routes_.lookup(ip.dst);
   if (!route || route->interface < 0 ||
       route->interface >= interface_count()) {
     ++no_route_drops_;
-    send_icmp_error(in_if, packet, make_unreachable(packet, 0));
+    send_icmp_error(in_if, ip.src, make_unreachable(dgram, 0));
     return;
   }
   ++packets_forwarded_;
-  Ipv4Address gateway =
-      route->next_hop.is_zero() ? packet.dst : route->next_hop;
-  transmit(route->interface, gateway, std::move(packet));
+  Ipv4Address gateway = route->next_hop.is_zero() ? ip.dst : route->next_hop;
+  ether::untag_and_trim(wire, eth, ip.total_length);
+  transmit(route->interface, gateway, std::move(wire));
 }
 
-void Host::send_icmp_error(int in_if, const Ipv4Packet& offending,
+void Host::send_icmp_error(int in_if, Ipv4Address to,
                            const IcmpMessage& error) {
   // RFC 1812: source the error from the interface the offending packet
   // arrived on — its primary address. PEERING's network controller exists
   // in part to keep this address correct (§5).
   Ipv4Address src = interface(in_if).primary_address();
   if (src.is_zero()) return;
-  Ipv4Packet pkt = wrap_icmp(error, src, offending.src);
-  send_packet(std::move(pkt));
+  send_packet(wrap_icmp(error, src, to));
 }
 
-void Host::transmit(int if_index, Ipv4Address gateway, Ipv4Packet packet) {
+void Host::transmit(int if_index, Ipv4Address gateway, Bytes frame) {
   auto mac = arp_caches_[if_index].lookup(gateway, loop_->now());
-  if (mac) {
-    auto& nif = interface(if_index);
-    send_frame(if_index,
-               ether::make_frame(*mac, nif.mac(), ether::EtherType::kIpv4,
-                                 packet.encode()));
+  if (!mac) {
+    arp_resolve(if_index, gateway, std::move(frame));
     return;
   }
-  arp_resolve(if_index, gateway, std::move(packet));
+  auto& nif = interface(if_index);
+  ether::write_header(frame, *mac, nif.mac(), ether::EtherType::kIpv4);
+  nif.send(std::move(frame));
 }
 
-void Host::arp_resolve(int if_index, Ipv4Address target, Ipv4Packet packet) {
+void Host::arp_resolve(int if_index, Ipv4Address target, Bytes frame) {
   auto key = std::make_pair(if_index, target);
   bool first = pending_[key].empty();
-  pending_[key].push_back({std::move(packet), loop_->now()});
+  pending_[key].push_back({std::move(frame), loop_->now()});
   if (!first) return;  // a request is already in flight
 
   auto& nif = interface(if_index);
@@ -196,9 +201,8 @@ void Host::flush_pending(int if_index, Ipv4Address resolved, MacAddress mac) {
   pending_.erase(it);
   auto& nif = interface(if_index);
   for (auto& entry : queue) {
-    send_frame(if_index,
-               ether::make_frame(mac, nif.mac(), ether::EtherType::kIpv4,
-                                 entry.packet.encode()));
+    ether::write_header(entry.frame, mac, nif.mac(), ether::EtherType::kIpv4);
+    nif.send(std::move(entry.frame));
   }
 }
 

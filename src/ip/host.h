@@ -78,31 +78,36 @@ class Host {
   std::uint64_t icmp_ttl_exceeded_sent() const { return ttl_exceeded_sent_; }
 
  protected:
-  /// Frame dispatch; subclasses (the vBGP router) override to interpose on
-  /// the data plane before standard processing.
-  virtual void handle_frame(int if_index, const ether::EthernetFrame& frame);
-
   /// ARP input processing: answer requests for owned addresses, learn
   /// bindings, flush pending queues. Subclasses extend to answer for
   /// virtual next-hop addresses.
   virtual void handle_arp(int if_index, const ether::ArpMessage& msg);
 
-  /// IPv4 input processing: local delivery or forwarding.
-  virtual void handle_ipv4(int if_index, const Ipv4Packet& packet,
-                           const ether::EthernetFrame& frame);
+  /// IPv4 input processing: local delivery or forwarding. `ip` is the
+  /// header of the datagram that `wire` carries behind `eth`; the buffer is
+  /// the received frame, which forwarding rewrites and sends on. Subclasses
+  /// (the vBGP router) override to interpose on the data plane.
+  virtual void handle_ipv4(int if_index, const ether::FrameHeader& eth,
+                           const Ipv4Header& ip, Bytes& wire);
 
-  /// Forwards using the main table. Subclasses substitute per-neighbor
-  /// tables here.
-  virtual void forward(int in_if, Ipv4Packet packet);
+  /// The datagram in a received IPv4 frame: its header up to its total
+  /// length, without Ethernet padding.
+  static std::span<std::uint8_t> datagram(Bytes& wire,
+                                          const ether::FrameHeader& eth,
+                                          const Ipv4Header& ip) {
+    return std::span<std::uint8_t>(wire).subspan(eth.header_length,
+                                                 ip.total_length);
+  }
 
-  /// Emits `packet` out of `if_index` toward `gateway` (ARP-resolving it,
-  /// queueing the packet while resolution is in flight).
-  void transmit(int if_index, Ipv4Address gateway, Ipv4Packet packet);
+  /// Emits `frame` (ether::kHeaderLength bytes for the Ethernet header,
+  /// then an IPv4 datagram) out of `if_index` toward `gateway`: writes the header
+  /// once `gateway` is resolved, queueing the frame while ARP resolution is
+  /// in flight.
+  void transmit(int if_index, Ipv4Address gateway, Bytes frame);
 
-  /// Sends an ICMP error about `offending`, sourced from the primary
-  /// address of interface `in_if`.
-  void send_icmp_error(int in_if, const Ipv4Packet& offending,
-                       const IcmpMessage& error);
+  /// Sends an ICMP error to `to` (the offending packet's source), sourced
+  /// from the primary address of interface `in_if`.
+  void send_icmp_error(int in_if, Ipv4Address to, const IcmpMessage& error);
 
   /// Emits a raw frame out of `if_index`.
   void send_frame(int if_index, const ether::EthernetFrame& frame);
@@ -111,7 +116,12 @@ class Host {
   std::string name_;
 
  private:
-  void arp_resolve(int if_index, Ipv4Address target, Ipv4Packet packet);
+  /// Frame dispatch: ARP and IPv4 inputs, parsed in place.
+  void handle_frame(int if_index, const ether::FrameHeader& eth, Bytes& wire);
+  /// Forwards the datagram in `wire` using the main table.
+  void forward(int in_if, const ether::FrameHeader& eth, const Ipv4Header& ip,
+               Bytes& wire);
+  void arp_resolve(int if_index, Ipv4Address target, Bytes frame);
   void flush_pending(int if_index, Ipv4Address resolved, MacAddress mac);
   void respond_echo(int if_index, const Ipv4Packet& packet);
 
@@ -122,7 +132,7 @@ class Host {
   PacketHandler packet_handler_;
 
   struct Pending {
-    Ipv4Packet packet;
+    Bytes frame;  // as transmit() takes it
     SimTime queued_at;
   };
   std::map<std::pair<int, Ipv4Address>, std::deque<Pending>> pending_;

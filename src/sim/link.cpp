@@ -25,6 +25,38 @@ void LinkDirection::count_drop() {
   dropped_counter_->inc();
 }
 
+void LinkDirection::drain() {
+  while (queue_count_ > 0) {
+    const Queued& front = queue_[queue_head_];
+    if (!loop_->passed(front.end, front.seq)) break;
+    queued_bytes_ -= front.size;
+    queue_head_ = (queue_head_ + 1) & (queue_.size() - 1);
+    --queue_count_;
+  }
+}
+
+void LinkDirection::push_queued(const Queued& q) {
+  if (queue_count_ == queue_.size()) {
+    std::vector<Queued> grown(queue_.empty() ? 8 : 2 * queue_.size());
+    for (std::size_t i = 0; i < queue_count_; ++i)
+      grown[i] = queue_[(queue_head_ + i) & (queue_.size() - 1)];
+    queue_ = std::move(grown);
+    queue_head_ = 0;
+  }
+  queue_[(queue_head_ + queue_count_) & (queue_.size() - 1)] = q;
+  ++queue_count_;
+}
+
+void LinkDirection::deliver_at(SimTime at, Bytes frame) {
+  const std::uint32_t slot = in_flight_.put(std::move(frame));
+  loop_->schedule_at(at, [this, slot] {
+    // Out of the pool before the receiver runs: it may send on this
+    // direction again, which can reuse the slot.
+    Bytes delivered = in_flight_.take(slot);
+    receiver_(delivered);
+  });
+}
+
 bool LinkDirection::send(Bytes frame) {
   if (!receiver_) {
     count_drop();
@@ -54,17 +86,14 @@ bool LinkDirection::send(Bytes frame) {
     // Infinite bandwidth: only propagation latency applies.
     ++frames_sent_;
     bytes_sent_ += size;
-    loop_->schedule_after(latency,
-                          [this, f = std::move(frame)]() { receiver_(f); });
+    deliver_at(loop_->now() + latency, std::move(frame));
     return true;
   }
 
   // Drop-tail: reject if the queue of not-yet-serialized bytes is full.
+  drain();
   const SimTime now = loop_->now();
-  if (tx_free_ < now) {
-    tx_free_ = now;
-    queued_bytes_ = 0;
-  }
+  if (tx_free_ < now) tx_free_ = now;  // idle: the queue is empty
   if (queued_bytes_ + size > config_.queue_limit_bytes) {
     count_drop();
     return false;
@@ -77,13 +106,10 @@ bool LinkDirection::send(Bytes frame) {
   queued_bytes_ += size;
   ++frames_sent_;
   bytes_sent_ += size;
-  // The queue drains when serialization completes; delivery happens one
-  // propagation latency later.
-  loop_->schedule_at(tx_free_, [this, size]() {
-    if (queued_bytes_ >= size) queued_bytes_ -= size;
-  });
-  loop_->schedule_at(tx_free_ + latency,
-                     [this, f = std::move(frame)]() { receiver_(f); });
+  // The frame leaves the queue when serialization completes; delivery
+  // happens one propagation latency later.
+  push_queued({tx_free_, loop_->next_seq(), size});
+  deliver_at(tx_free_ + latency, std::move(frame));
   return true;
 }
 

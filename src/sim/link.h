@@ -13,16 +13,20 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "netbase/bytes.h"
 #include "netbase/rand.h"
 #include "obs/metrics.h"
 #include "sim/event_loop.h"
+#include "sim/in_flight.h"
 
 namespace peering::sim {
 
-/// Receives frames delivered by a link endpoint.
-using FrameHandler = std::function<void(const Bytes&)>;
+/// Receives frames delivered by a link endpoint. The frame is the buffer the
+/// sender handed to send(): the receiver may modify it or move it on (a
+/// forwarding router sends the same buffer out of its egress link).
+using FrameHandler = std::function<void(Bytes&)>;
 
 struct LinkConfig {
   Duration latency = Duration::micros(100);
@@ -49,7 +53,9 @@ struct LinkImpairments {
 };
 
 /// One direction of a link. Tracks its own serialization horizon and queue
-/// occupancy; drops when the queue is full (drop-tail).
+/// occupancy; drops when the queue is full (drop-tail). Each accepted frame
+/// costs one event, its delivery: the queue drains lazily, each send first
+/// dropping from it every frame whose serialization the loop has passed.
 class LinkDirection {
  public:
   LinkDirection(EventLoop* loop, const LinkConfig& config,
@@ -57,8 +63,9 @@ class LinkDirection {
 
   void set_receiver(FrameHandler handler) { receiver_ = std::move(handler); }
 
-  /// Offers a frame for transmission. Returns false if the frame was dropped
-  /// because the queue was full (or an installed impairment dropped it).
+  /// Offers a frame for transmission; the buffer travels to the receiver
+  /// without a copy. Returns false if the frame was dropped because the
+  /// queue was full (or an installed impairment dropped it).
   bool send(Bytes frame);
 
   /// Installs a degradation profile; replaces any existing one and reseeds
@@ -78,7 +85,23 @@ class LinkDirection {
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
+  /// An accepted frame still counted against the queue. It leaves the queue
+  /// when its serialization ends: once the loop has passed (end, seq), where
+  /// seq is its delivery event's number, the point at which a per-frame
+  /// drain event scheduled just before the delivery would have run.
+  struct Queued {
+    SimTime end;
+    std::uint64_t seq;
+    std::size_t size;
+  };
+
   void count_drop();
+  /// Removes every frame whose serialization the loop has passed from the
+  /// queue. Serialization ends in send order, so they form a prefix.
+  void drain();
+  void push_queued(const Queued& q);
+  /// Schedules delivery of `frame` at `at`: one event capturing its slot.
+  void deliver_at(SimTime at, Bytes frame);
 
   EventLoop* loop_;
   LinkConfig config_;
@@ -88,6 +111,12 @@ class LinkDirection {
   /// Time at which the transmitter becomes free (serialization horizon).
   SimTime tx_free_;
   std::size_t queued_bytes_ = 0;
+  /// Power-of-two ring of the frames behind queued_bytes_, oldest at
+  /// queue_head_.
+  std::vector<Queued> queue_;
+  std::size_t queue_head_ = 0;
+  std::size_t queue_count_ = 0;
+  InFlight in_flight_;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_dropped_ = 0;
   std::uint64_t frames_corrupted_ = 0;

@@ -11,13 +11,15 @@ void StreamEndpoint::on_data(DataHandler handler) {
   }
 }
 
-bool StreamEndpoint::send(const Bytes& data) {
+bool StreamEndpoint::send(Bytes data) {
   auto peer = peer_.lock();
   if (!open_ || !peer) return false;
   bytes_sent_ += data.size();
-  loop_->schedule_after(latency_, [peer, data]() {
-    if (peer->open_) peer->deliver(data);
-  });
+  StreamEndpoint* to = peer.get();
+  const std::uint32_t slot = to->in_flight_.put(std::move(data));
+  // The loop keeps the remote endpoint alive until delivery.
+  loop_->schedule_after(latency_, [to, slot] { to->arrive(slot); },
+                        std::move(peer));
   return true;
 }
 
@@ -25,16 +27,20 @@ void StreamEndpoint::close() {
   if (!open_) return;
   open_ = false;
   if (auto peer = peer_.lock()) {
-    loop_->schedule_after(latency_, [peer]() { peer->remote_closed(); });
+    StreamEndpoint* to = peer.get();
+    loop_->schedule_after(latency_, [to] { to->remote_closed(); },
+                          std::move(peer));
   }
 }
 
-void StreamEndpoint::deliver(const Bytes& data) {
+void StreamEndpoint::arrive(std::uint32_t slot) {
+  Bytes data = in_flight_.take(slot);
+  if (!open_) return;
   bytes_received_ += data.size();
   if (data_handler_) {
     data_handler_(data);
   } else {
-    pending_.push_back(data);
+    pending_.push_back(std::move(data));
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "netbase/bytes.h"
 #include "sim/event_loop.h"
+#include "sim/in_flight.h"
 
 namespace peering::sim {
 
@@ -26,8 +27,9 @@ class StreamEndpoint {
   /// Registers the close/reset callback.
   void on_close(CloseHandler handler) { close_handler_ = std::move(handler); }
 
-  /// Sends bytes to the remote side. Returns false if the stream is closed.
-  bool send(const Bytes& data);
+  /// Sends bytes to the remote side; the buffer itself travels, so a caller
+  /// that moves it in pays no copy. Returns false if the stream is closed.
+  bool send(Bytes data);
 
   /// Closes the stream; the remote side observes on_close after one latency.
   void close();
@@ -39,7 +41,8 @@ class StreamEndpoint {
  private:
   friend class StreamChannel;
 
-  void deliver(const Bytes& data);
+  /// Delivery event of the chunk in `slot` of in_flight_.
+  void arrive(std::uint32_t slot);
   void remote_closed();
 
   EventLoop* loop_ = nullptr;
@@ -48,6 +51,9 @@ class StreamEndpoint {
   DataHandler data_handler_;
   CloseHandler close_handler_;
   std::vector<Bytes> pending_;  // buffered until a handler is attached
+  /// Chunks sent to this endpoint and not yet delivered. A stream is FIFO
+  /// with a fixed latency, so delivery events run in send order.
+  InFlight in_flight_;
   bool open_ = true;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;

@@ -9,6 +9,10 @@
 namespace peering::vbgp {
 
 namespace {
+// The id checked for packets from an interface that serves no experiment:
+// the data enforcer has no filter for it, so they are dropped.
+const std::string kUnknownExperiment = "<unknown>";
+
 // Experiment-marker constant and predicate live in communities.h so the
 // fault harness's invariant checker shares the exact definitions.
 
@@ -234,11 +238,9 @@ void VRouter::add_remote_experiment_route(const Ipv4Prefix& prefix,
   routes().insert(ip::Route{prefix, gateway, backbone_interface, 0});
 }
 
-std::optional<std::string> VRouter::experiment_for_interface(
-    int if_index) const {
+const std::string* VRouter::experiment_for_interface(int if_index) const {
   auto it = experiments_by_interface_.find(if_index);
-  if (it == experiments_by_interface_.end()) return std::nullopt;
-  return it->second;
+  return it == experiments_by_interface_.end() ? nullptr : &it->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -573,113 +575,104 @@ void VRouter::handle_arp(int if_index, const ether::ArpMessage& msg) {
   obs_arp_replies_->inc();
 }
 
-void VRouter::handle_frame(int if_index, const ether::EthernetFrame& frame) {
-  if (frame.ethertype == static_cast<std::uint16_t>(ether::EtherType::kArp)) {
-    auto msg = ether::ArpMessage::decode(frame.payload);
-    if (msg) handle_arp(if_index, *msg);
-    return;
-  }
-  if (frame.ethertype != static_cast<std::uint16_t>(ether::EtherType::kIpv4))
-    return;
-  auto packet = ip::Ipv4Packet::decode(frame.payload);
-  if (!packet) {
-    LOG_WARN("vbgp", name() << ": malformed IPv4: " << packet.error().message);
-    return;
-  }
-
+void VRouter::handle_ipv4(int if_index, const ether::FrameHeader& eth,
+                          const ip::Ipv4Header& ip, Bytes& wire) {
   // Per-packet route delegation: the destination MAC selects the neighbor
   // whose routing table forwards this packet (§3.2.2).
-  if (VirtualNeighbor* nb = registry_.by_mac(frame.dst)) {
+  if (VirtualNeighbor* nb = registry_.by_mac(eth.dst)) {
     obs_demux_mac_hits_->inc();
-    // The filter reads the datagram as received; Ethernet padding stays out.
-    std::span<const std::uint8_t> wire(frame.payload.data(),
-                                       packet->total_length());
-    egress_from_experiment(if_index, *nb, wire, std::move(*packet));
+    egress_from_experiment(if_index, *nb, eth, ip, wire);
     return;
   }
 
-  if (owns_address(packet->dst)) {
-    ip::Host::handle_ipv4(if_index, *packet, frame);
+  if (owns_address(ip.dst)) {
+    ip::Host::handle_ipv4(if_index, eth, ip, wire);
     return;
   }
 
   obs_demux_mac_misses_->inc();
-  deliver_toward_experiment(if_index, frame, std::move(*packet));
+  deliver_toward_experiment(if_index, eth, ip, wire);
 }
 
 void VRouter::egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
-                                     std::span<const std::uint8_t> wire,
-                                     ip::Ipv4Packet packet) {
-  auto exp = experiment_for_interface(in_if);
-  // Data-plane enforcement: source-address verification and rate limiting.
+                                     const ether::FrameHeader& eth,
+                                     const ip::Ipv4Header& ip, Bytes& wire) {
+  const std::string* exp = experiment_for_interface(in_if);
+  const auto dgram = datagram(wire, eth, ip);
+  // Data-plane enforcement: source-address verification and rate limiting,
+  // on the datagram as received (Ethernet padding stays out).
   if (data_enforcer_) {
-    enforce::FilterAction action =
-        data_enforcer_->check(exp.value_or("<unknown>"), wire, loop_->now());
+    enforce::FilterAction action = data_enforcer_->check(
+        exp != nullptr ? *exp : kUnknownExperiment, dgram, loop_->now());
     if (action == enforce::FilterAction::kDrop) {
       ++stats_.packets_enforcement_drop;
       obs_enforcement_drops_->inc();
       return;
     }
   }
-  if (exp) accounting_[*exp].egress_bytes += packet.total_length();
+  if (exp != nullptr) accounting_[*exp].egress_bytes += ip.total_length;
 
-  if (packet.ttl <= 1) {
-    send_icmp_error(in_if, packet, ip::make_time_exceeded(packet));
+  if (ip.ttl <= 1) {
+    send_icmp_error(in_if, ip.src, ip::make_time_exceeded(dgram));
     return;
   }
-  packet.ttl -= 1;
+  ip::decrement_ttl(dgram);
 
-  auto route = neighbor.fib.lookup(packet.dst);
+  auto route = neighbor.fib.lookup(ip.dst);
   if (!route) {
     ++stats_.packets_no_fib_route;
     obs_no_route_->inc();
-    send_icmp_error(in_if, packet, ip::make_unreachable(packet, 0));
+    send_icmp_error(in_if, ip.src, ip::make_unreachable(dgram, 0));
     return;
   }
   ++stats_.frames_demuxed;
   obs_frames_demuxed_->inc();
   if (trace_) {
     trace_->emit(loop_->now(), "vbgp", "demux",
-                 {{"experiment", exp.value_or("?")},
+                 {{"experiment", exp != nullptr ? *exp : "?"},
                   {"neighbor", neighbor.name},
-                  {"dst", packet.dst.str()}});
+                  {"dst", ip.dst.str()}});
   }
-  transmit(route->interface, route->next_hop, std::move(packet));
+  ether::untag_and_trim(wire, eth, ip.total_length);
+  transmit(route->interface, route->next_hop, std::move(wire));
 }
 
 void VRouter::deliver_toward_experiment(int in_if,
-                                        const ether::EthernetFrame& frame,
-                                        ip::Ipv4Packet packet) {
-  auto route = mux_.lookup(packet.dst);
+                                        const ether::FrameHeader& eth,
+                                        const ip::Ipv4Header& ip,
+                                        Bytes& wire) {
+  auto route = mux_.lookup(ip.dst);
   if (!route) return;  // not for any experiment: drop (no transit)
   auto entry_it = mux_entries_.find(route->prefix);
   if (entry_it == mux_entries_.end()) return;
   const MuxEntry& entry = entry_it->second;
 
-  if (packet.ttl <= 1) {
-    send_icmp_error(in_if, packet, ip::make_time_exceeded(packet));
+  const auto dgram = datagram(wire, eth, ip);
+  if (ip.ttl <= 1) {
+    send_icmp_error(in_if, ip.src, ip::make_time_exceeded(dgram));
     return;
   }
-  packet.ttl -= 1;
+  ip::decrement_ttl(dgram);
+  ether::untag_and_trim(wire, eth, ip.total_length);
 
   if (entry.remote) {
     // Hand off across the backbone toward the PoP hosting the experiment.
-    transmit(entry.interface, entry.gateway, std::move(packet));
+    transmit(entry.interface, entry.gateway, std::move(wire));
     return;
   }
-  accounting_[entry.experiment_id].ingress_bytes += packet.total_length();
+  accounting_[entry.experiment_id].ingress_bytes += ip.total_length;
 
   // Final hop: rewrite the source MAC to the delivering neighbor's virtual
   // MAC so the experiment can attribute ingress traffic (§3.2.2).
   MacAddress src_mac = interface(entry.interface).mac();
-  if (VirtualNeighbor* nb = registry_.by_real_mac(frame.src)) {
+  if (VirtualNeighbor* nb = registry_.by_real_mac(eth.src)) {
     src_mac = nb->virtual_mac;
   }
   auto exp_mac = arp_cache(entry.interface).lookup(entry.gateway, loop_->now());
   if (!exp_mac) {
     // MAC not resolved yet: fall back to standard transmission (resolves
     // via ARP; this first packet is delivered without attribution).
-    transmit(entry.interface, entry.gateway, std::move(packet));
+    transmit(entry.interface, entry.gateway, std::move(wire));
     return;
   }
   ++stats_.frames_to_experiments;
@@ -688,11 +681,10 @@ void VRouter::deliver_toward_experiment(int in_if,
     trace_->emit(loop_->now(), "vbgp", "deliver",
                  {{"experiment", entry.experiment_id},
                   {"src_mac", src_mac.str()},
-                  {"dst", packet.dst.str()}});
+                  {"dst", ip.dst.str()}});
   }
-  send_frame(entry.interface,
-             ether::make_frame(*exp_mac, src_mac, ether::EtherType::kIpv4,
-                               packet.encode()));
+  ether::write_header(wire, *exp_mac, src_mac, ether::EtherType::kIpv4);
+  interface(entry.interface).send(std::move(wire));
 }
 
 }  // namespace peering::vbgp

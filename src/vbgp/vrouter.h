@@ -27,7 +27,6 @@
 #include <tuple>
 #include <unordered_map>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "bgp/speaker.h"
@@ -145,8 +144,9 @@ class VRouter : public ip::Host {
                                    int backbone_interface,
                                    Ipv4Address gateway);
 
-  /// Experiment id served by the given tunnel interface, if any.
-  std::optional<std::string> experiment_for_interface(int if_index) const;
+  /// Experiment id served by the given tunnel interface, or nullptr. The
+  /// pointer stays valid while the router lives (ids are never removed).
+  const std::string* experiment_for_interface(int if_index) const;
 
   /// Peer id -> experiment id for every registered experiment session. The
   /// invariant checker uses this to separate experiment sessions (which see
@@ -220,8 +220,9 @@ class VRouter : public ip::Host {
   obs::Snapshot metrics_snapshot() const;
 
  protected:
-  void handle_frame(int if_index, const ether::EthernetFrame& frame) override;
   void handle_arp(int if_index, const ether::ArpMessage& msg) override;
+  void handle_ipv4(int if_index, const ether::FrameHeader& eth,
+                   const ip::Ipv4Header& ip, Bytes& wire) override;
 
  private:
   /// Installs the speaker's import hook and route event, and builds the
@@ -252,13 +253,14 @@ class VRouter : public ip::Host {
 
   void sync_fib(const bgp::RibRoute& route, bool withdrawn);
 
-  /// Data-plane paths. `wire` is the received IPv4 datagram `packet` was
-  /// decoded from, the bytes the packet filter checks.
+  /// Data-plane paths. Each forwards the received frame `wire` in place:
+  /// the filter reads the datagram as received, then the TTL, checksum and
+  /// MACs are rewritten and the same buffer moves into the egress link.
   void egress_from_experiment(int in_if, VirtualNeighbor& neighbor,
-                              std::span<const std::uint8_t> wire,
-                              ip::Ipv4Packet packet);
-  void deliver_toward_experiment(int in_if, const ether::EthernetFrame& frame,
-                                 ip::Ipv4Packet packet);
+                              const ether::FrameHeader& eth,
+                              const ip::Ipv4Header& ip, Bytes& wire);
+  void deliver_toward_experiment(int in_if, const ether::FrameHeader& eth,
+                                 const ip::Ipv4Header& ip, Bytes& wire);
 
   enum class PeerKind { kNeighbor, kExperiment, kBackbone };
   PeerKind peer_kind(bgp::PeerId peer) const;

@@ -6,6 +6,7 @@
 #include "ip/icmp.h"
 #include "ip/traceroute.h"
 #include "ip/udp.h"
+#include "netbase/rand.h"
 #include "sim/event_loop.h"
 
 namespace peering::ip {
@@ -45,6 +46,85 @@ TEST(Ipv4Codec, ChecksumIsValidOverHeader) {
   EXPECT_EQ(internet_checksum(std::span(wire).subspan(0, 20)), 0);
 }
 
+/// Writes the full RFC 1071 checksum of the 20-byte header at `h`.
+void set_header_checksum(std::span<std::uint8_t> h) {
+  h[10] = h[11] = 0;
+  const std::uint16_t sum = internet_checksum(h.first(20));
+  h[10] = static_cast<std::uint8_t>(sum >> 8);
+  h[11] = static_cast<std::uint8_t>(sum);
+}
+
+TEST(Ipv4Header, IncrementalTtlUpdateEqualsFullRecomputation) {
+  // RFC 1624 eqn. 3 against internet_checksum for every TTL from 2 to 255.
+  // Every third header is forced to a checksum of 0x0000 (its other words
+  // sum to 0xffff); it is then also tried in its equivalent 0xffff form.
+  Rng rng(1624);
+  int zero_checksums = 0;
+  for (int n = 0; n < 300; ++n) {
+    Bytes h(20);
+    for (auto& b : h) b = static_cast<std::uint8_t>(rng.next());
+    h[0] = 0x45;
+    if (n % 3 == 0) {
+      // Choose the identification so the other words sum to 0xffff.
+      h[4] = h[5] = 0;
+      h[8] = 2;  // the TTL the sweep starts from
+      set_header_checksum(h);
+      const std::uint16_t id = static_cast<std::uint16_t>(
+          0xffff - static_cast<std::uint16_t>(~((h[10] << 8) | h[11])));
+      h[4] = static_cast<std::uint8_t>(id >> 8);
+      h[5] = static_cast<std::uint8_t>(id);
+    }
+    for (int ttl = 2; ttl <= 255; ++ttl) {
+      h[8] = static_cast<std::uint8_t>(ttl);
+      set_header_checksum(h);
+      std::vector<Bytes> forms = {h};
+      if (h[10] == 0 && h[11] == 0) {
+        ++zero_checksums;
+        Bytes ones = h;
+        ones[10] = ones[11] = 0xff;  // -0: also a valid checksum
+        ASSERT_EQ(internet_checksum(ones), 0);
+        forms.push_back(ones);
+      }
+      for (Bytes form : forms) {
+        decrement_ttl(form);
+        Bytes expected = h;
+        expected[8] = static_cast<std::uint8_t>(ttl - 1);
+        set_header_checksum(expected);
+        ASSERT_EQ(form, expected) << "header " << n << " ttl " << ttl;
+      }
+    }
+  }
+  EXPECT_GE(zero_checksums, 100);
+}
+
+TEST(Ipv4Header, ParseSharesTheDecodeChecks) {
+  Ipv4Packet pkt;
+  pkt.src = Ipv4Address(10, 0, 0, 1);
+  pkt.dst = Ipv4Address(10, 0, 0, 2);
+  pkt.identification = 0x4242;
+  pkt.payload = Bytes(8, 1);
+  Bytes wire = pkt.encode();
+  wire.resize(46, 0);  // Ethernet padding is not part of the datagram
+  auto header = parse_ipv4_header(wire);
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(header->total_length, 28);
+  EXPECT_EQ(header->identification, 0x4242);
+  EXPECT_EQ(header->dst, pkt.dst);
+  EXPECT_EQ(Ipv4Packet::decode(wire)->payload, pkt.payload);
+
+  Bytes options = pkt.encode();
+  options[0] = 0x46;
+  set_header_checksum(options);
+  EXPECT_EQ(parse_ipv4_header(options).error().message,
+            "ipv4: options unsupported");
+  EXPECT_EQ(Ipv4Packet::decode(options).error().message,
+            "ipv4: options unsupported");
+  Bytes truncated = pkt.encode();
+  truncated.resize(27);
+  EXPECT_EQ(parse_ipv4_header(truncated).error().message,
+            "ipv4: bad total length");
+}
+
 TEST(IcmpCodec, EchoRoundTrip) {
   auto echo = make_echo_request(0x1234, 7, Bytes{9, 9});
   auto decoded = IcmpMessage::decode(echo.encode());
@@ -62,7 +142,7 @@ TEST(IcmpCodec, TimeExceededQuotesOffendingPacket) {
   udp.src_port = 1000;
   udp.dst_port = 33434;
   offending.payload = udp.encode();
-  auto error = make_time_exceeded(offending);
+  auto error = make_time_exceeded(offending.encode());
   auto quoted = Ipv4Packet::decode(error.body);
   ASSERT_TRUE(quoted.ok());
   EXPECT_EQ(quoted->src, offending.src);
@@ -184,6 +264,44 @@ TEST(Host, TtlExpiryGeneratesTimeExceededFromIngressPrimary) {
   // r1's ingress interface primary address.
   EXPECT_EQ(*error_source, Ipv4Address(10, 0, 1, 2));
   EXPECT_EQ(c.r1.icmp_ttl_exceeded_sent(), 1u);
+}
+
+TEST(Host, ForwardingKeepsTheDatagramAsSent) {
+  // A UDP datagram with ECN CE, DF clear and a set identification, in a
+  // padded, 802.1Q-tagged frame: the two routers change only its TTL and
+  // checksum, and b receives it untagged and unpadded.
+  Chain c;
+  std::vector<ether::EthernetFrame> at_b;
+  c.b.on_packet([&](const Ipv4Packet&, int, const ether::EthernetFrame& f) {
+    at_b.push_back(f);
+  });
+  Ipv4Packet pkt;
+  pkt.src = Ipv4Address(10, 0, 1, 1);
+  pkt.dst = Ipv4Address(10, 0, 3, 2);
+  pkt.identification = 0xbeef;
+  pkt.payload = Bytes(8, 0x5a);
+  Bytes sent = pkt.encode();
+  sent[1] |= 0x3;  // ECN CE
+  sent[6] = 0;     // DF clear
+  set_header_checksum(sent);
+  ether::EthernetFrame frame = ether::make_frame(
+      mac(2), mac(1), ether::EtherType::kIpv4, sent);
+  frame.has_vlan = true;
+  frame.vlan_id = 42;
+  frame.payload.resize(46, 0);
+  c.a.interface(0).send(frame);
+  c.loop.run_for(Duration::seconds(2));
+
+  ASSERT_EQ(at_b.size(), 1u);
+  EXPECT_FALSE(at_b[0].has_vlan);
+  EXPECT_EQ(at_b[0].src, mac(5));
+  EXPECT_EQ(at_b[0].dst, mac(6));
+  Bytes expected = sent;
+  expected[8] -= 2;
+  set_header_checksum(expected);
+  EXPECT_EQ(at_b[0].payload, expected);
+  EXPECT_EQ(c.r1.packets_forwarded(), 1u);
+  EXPECT_EQ(c.r2.packets_forwarded(), 1u);
 }
 
 TEST(Traceroute, DiscoversHopChain) {

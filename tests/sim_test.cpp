@@ -2,6 +2,7 @@
 // bandwidth / drop-tail behaviour, reliable streams.
 #include <gtest/gtest.h>
 
+#include "netbase/rand.h"
 #include "sim/event_loop.h"
 #include "sim/link.h"
 #include "sim/stream.h"
@@ -183,6 +184,194 @@ TEST(Link, DirectionsAreIndependent) {
   loop.run();
   EXPECT_EQ(b_received, 1);
   EXPECT_EQ(a_received, 2);
+}
+
+/// The drop-tail direction as it was with one drain event per frame: a
+/// frame's bytes leave the queue in an event at its serialization end,
+/// scheduled just before its delivery. LinkDirection drains lazily instead
+/// and must not be told apart from this.
+class PerFrameDrainDirection {
+ public:
+  PerFrameDrainDirection(EventLoop* loop, const LinkConfig& config,
+                         const std::string&)
+      : loop_(loop), config_(config), rng_(1) {}
+
+  void set_receiver(FrameHandler handler) { receiver_ = std::move(handler); }
+  void set_impairments(const LinkImpairments& imp) {
+    impairments_ = imp;
+    rng_ = Rng(imp.seed);
+  }
+  void set_queue_limit(std::size_t bytes) { config_.queue_limit_bytes = bytes; }
+  std::uint64_t frames_dropped() const { return dropped_; }
+
+  bool send(Bytes frame) {
+    if (!receiver_) return ++dropped_, false;
+    if (impairments_.drop_probability > 0.0 &&
+        rng_.chance(impairments_.drop_probability))
+      return ++dropped_, false;
+    if (!frame.empty() && impairments_.corrupt_probability > 0.0 &&
+        rng_.chance(impairments_.corrupt_probability))
+      frame[rng_.below(frame.size())] ^= 0xFF;
+    Duration latency = config_.latency;
+    if (impairments_.jitter.ns() > 0)
+      latency = latency + Duration::nanos(static_cast<std::int64_t>(rng_.below(
+                              static_cast<std::uint64_t>(
+                                  impairments_.jitter.ns()) + 1)));
+    const std::size_t size = frame.size();
+    if (config_.bandwidth_bps == 0) {
+      loop_->schedule_after(latency, [this, f = std::move(frame)]() mutable {
+        receiver_(f);
+      });
+      return true;
+    }
+    const SimTime now = loop_->now();
+    if (tx_free_ < now) {
+      tx_free_ = now;
+      queued_bytes_ = 0;
+    }
+    if (queued_bytes_ + size > config_.queue_limit_bytes)
+      return ++dropped_, false;
+    tx_free_ = tx_free_ +
+               Duration::nanos(static_cast<std::int64_t>(size) * 8 *
+                               1'000'000'000 /
+                               static_cast<std::int64_t>(config_.bandwidth_bps));
+    queued_bytes_ += size;
+    loop_->schedule_at(tx_free_, [this, size] {
+      if (queued_bytes_ >= size) queued_bytes_ -= size;
+    });
+    loop_->schedule_at(tx_free_ + latency,
+                       [this, f = std::move(frame)]() mutable { receiver_(f); });
+    return true;
+  }
+
+ private:
+  EventLoop* loop_;
+  LinkConfig config_;
+  FrameHandler receiver_;
+  LinkImpairments impairments_;
+  Rng rng_;
+  SimTime tx_free_;
+  std::size_t queued_bytes_ = 0;
+  std::uint64_t dropped_ = 0;
+};
+
+struct LinkTrace {
+  std::vector<bool> accepted;  // send() results in call order
+  /// (frame id, delivery time in ns) in delivery order.
+  std::vector<std::pair<std::uint32_t, std::int64_t>> delivered;
+  std::uint64_t dropped = 0;
+  std::size_t events = 0;
+};
+
+/// Drives one direction with seeded random traffic: bursts sent from
+/// outside events and from timer events, timers and run_until boundaries
+/// that land on serialization ends (1 ns per byte, so ties are common),
+/// receivers that send again from inside their delivery, and queue-limit
+/// changes from both sides. All decisions come from one Rng consumed in
+/// event order, so two equivalent directions see the same run.
+template <typename Direction>
+LinkTrace drive(std::uint64_t seed, const LinkConfig& config, bool jitter) {
+  EventLoop loop;
+  Direction dir(&loop, config, "a2b");
+  Rng rng(seed);
+  LinkTrace trace;
+  std::uint32_t next_id = 0;
+  if (jitter) {
+    LinkImpairments imp;
+    imp.jitter = Duration::nanos(12);
+    imp.seed = seed;
+    dir.set_impairments(imp);
+  }
+  auto send_one = [&] {
+    Bytes frame(4 + rng.below(24), 0);
+    const std::uint32_t id = next_id++;
+    for (int i = 0; i < 4; ++i) frame[i] = static_cast<std::uint8_t>(id >> (8 * i));
+    trace.accepted.push_back(dir.send(std::move(frame)));
+  };
+  auto shrink = [&] { dir.set_queue_limit(rng.below(4) == 0 ? 64 : rng.below(48)); };
+  dir.set_receiver([&](Bytes& frame) {
+    std::uint32_t id = 0;
+    for (int i = 0; i < 4; ++i) id |= static_cast<std::uint32_t>(frame[i]) << (8 * i);
+    trace.delivered.emplace_back(id, loop.now().ns());
+    if (rng.below(4) == 0) send_one();
+  });
+  for (int step = 0; step < 300; ++step) {
+    switch (rng.below(5)) {
+      case 0:
+      case 1:
+        for (std::uint64_t n = rng.below(4); n > 0; --n) send_one();
+        break;
+      case 2: {
+        const std::uint64_t copies = 1 + rng.below(3);
+        const Duration delay = Duration::nanos(static_cast<std::int64_t>(rng.below(40)));
+        for (std::uint64_t c = 0; c < copies; ++c) {
+          loop.schedule_after(delay, [&] {
+            if (rng.below(8) == 0) shrink();
+            for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) send_one();
+          });
+        }
+        break;
+      }
+      case 3:
+        trace.events += loop.run_until(
+            loop.now() + Duration::nanos(static_cast<std::int64_t>(rng.below(40))));
+        break;
+      case 4:
+        if (rng.below(4) == 0) shrink();
+        break;
+    }
+  }
+  trace.events += loop.run();
+  trace.dropped = dir.frames_dropped();
+  return trace;
+}
+
+TEST(Link, LazyDrainMatchesPerFrameDrainEvents) {
+  int configs = 0;
+  for (std::uint64_t bps : {std::uint64_t{0}, std::uint64_t{8'000'000'000},
+                            std::uint64_t{64'000'000'000}}) {
+    for (std::int64_t latency_ns : {0, 7}) {
+      for (bool jitter : {false, true}) {
+        LinkConfig config;
+        config.latency = Duration::nanos(latency_ns);
+        config.bandwidth_bps = bps;
+        config.queue_limit_bytes = 40;
+        for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+          const LinkTrace want = drive<PerFrameDrainDirection>(seed, config, jitter);
+          const LinkTrace got = drive<LinkDirection>(seed, config, jitter);
+          const std::string where = "bps " + std::to_string(bps) + " latency " +
+                                    std::to_string(latency_ns) + " jitter " +
+                                    std::to_string(jitter) + " seed " +
+                                    std::to_string(seed);
+          ASSERT_EQ(got.accepted, want.accepted) << where;
+          ASSERT_EQ(got.delivered, want.delivered) << where;
+          ASSERT_EQ(got.dropped, want.dropped) << where;
+          // One event per accepted frame fewer: the drains.
+          std::size_t accepted = 0;
+          for (bool a : want.accepted) accepted += a;
+          ASSERT_EQ(got.events, want.events - (bps == 0 ? 0 : accepted)) << where;
+        }
+        ++configs;
+      }
+    }
+  }
+  EXPECT_EQ(configs, 12);
+}
+
+TEST(Link, LazyDrainSeesDropsAndTies) {
+  // The differential above is only as good as its traffic: it must fill the
+  // queue, and frames must finish serializing at the instant of a send.
+  LinkConfig config;
+  config.bandwidth_bps = 8'000'000'000;
+  config.queue_limit_bytes = 40;
+  std::size_t drops = 0, deliveries = 0;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    const LinkTrace t = drive<LinkDirection>(seed, config, false);
+    drops += t.dropped;
+    deliveries += t.delivered.size();
+  }
+  EXPECT_GT(drops, 100u);
+  EXPECT_GT(deliveries, 1000u);
 }
 
 TEST(Stream, DeliversInOrderAfterLatency) {

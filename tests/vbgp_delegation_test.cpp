@@ -38,17 +38,60 @@ struct Neighbor {
   BgpSpeaker speaker;
   int received_from_experiment = 0;
   std::vector<ip::Ipv4Packet> received;
+  std::vector<ether::EthernetFrame> frames;
 
   Neighbor(sim::EventLoop* loop, const std::string& name, bgp::Asn asn,
            Ipv4Address router_id)
       : host(loop, name), speaker(loop, name, asn, router_id) {
     host.on_packet([this](const ip::Ipv4Packet& pkt, int,
-                          const ether::EthernetFrame&) {
+                          const ether::EthernetFrame& frame) {
       received.push_back(pkt);
+      frames.push_back(frame);
       ++received_from_experiment;
     });
   }
 };
+
+/// A 28-byte UDP-sized datagram as a host other than ours might send it:
+/// ECN CE (or `ecn`), DF clear, identification 0xbeef.
+Bytes raw_datagram(Ipv4Address src, Ipv4Address dst, std::uint8_t ecn) {
+  ip::Ipv4Packet packet;
+  packet.src = src;
+  packet.dst = dst;
+  packet.identification = 0xbeef;
+  packet.payload = Bytes(8, 0x5a);
+  Bytes wire = packet.encode();
+  wire[1] = static_cast<std::uint8_t>(wire[1] | ecn);
+  wire[6] = 0;  // flags: DF clear
+  wire[10] = wire[11] = 0;
+  const std::uint16_t checksum =
+      ip::internet_checksum(std::span<const std::uint8_t>(wire).first(20));
+  wire[10] = static_cast<std::uint8_t>(checksum >> 8);
+  wire[11] = static_cast<std::uint8_t>(checksum);
+  return wire;
+}
+
+/// `datagram` after one router hop: TTL one lower, checksum recomputed.
+Bytes after_one_hop(Bytes datagram) {
+  datagram[8] = static_cast<std::uint8_t>(datagram[8] - 1);
+  datagram[10] = datagram[11] = 0;
+  const std::uint16_t checksum = ip::internet_checksum(
+      std::span<const std::uint8_t>(datagram).first(20));
+  datagram[10] = static_cast<std::uint8_t>(checksum >> 8);
+  datagram[11] = static_cast<std::uint8_t>(checksum);
+  return datagram;
+}
+
+/// A padded, 802.1Q-tagged frame carrying `datagram`.
+ether::EthernetFrame tagged_padded_frame(MacAddress dst, MacAddress src,
+                                         const Bytes& datagram) {
+  ether::EthernetFrame frame =
+      ether::make_frame(dst, src, ether::EtherType::kIpv4, datagram);
+  frame.has_vlan = true;
+  frame.vlan_id = 100;
+  frame.payload.resize(46, 0);  // minimum Ethernet payload
+  return frame;
+}
 
 /// An experiment: host + speaker; records delivered packets with frames.
 struct Experiment {
@@ -390,31 +433,39 @@ TEST_F(DelegationTest, DataPlaneFilterSeesTheBytesTheExperimentSent) {
   ASSERT_TRUE(filter.ok());
   data_.install("x1", std::move(*filter), {});
 
+  const Bytes sent =
+      raw_datagram(Ipv4Address(184, 164, 224, 1), kDestHost, 0x3);
   auto send = [&](std::uint8_t ecn) {
-    ip::Ipv4Packet packet;
-    packet.src = Ipv4Address(184, 164, 224, 1);
-    packet.dst = kDestHost;
-    packet.payload = Bytes(8, 0x5a);
-    Bytes wire = packet.encode();
-    wire[1] = static_cast<std::uint8_t>(wire[1] | ecn);
-    wire[6] = 0;  // flags: DF clear
-    wire[10] = wire[11] = 0;
-    const std::uint16_t checksum =
-        ip::internet_checksum(std::span<const std::uint8_t>(wire).first(20));
-    wire[10] = static_cast<std::uint8_t>(checksum >> 8);
-    wire[11] = static_cast<std::uint8_t>(checksum);
-    wire.resize(46, 0);  // minimum Ethernet payload
-    x1_.host.interface(0).send(ether::make_frame(virtual_mac_of(peer_n1_),
-                                                 mac(21), ether::EtherType::kIpv4,
-                                                 std::move(wire)));
+    Bytes wire = raw_datagram(Ipv4Address(184, 164, 224, 1), kDestHost, ecn);
+    x1_.host.interface(0).send(
+        tagged_padded_frame(virtual_mac_of(peer_n1_), mac(21), wire));
     settle(Duration::seconds(1));
   };
   send(0x3);
   EXPECT_EQ(n1_.received_from_experiment, 1);
   EXPECT_EQ(e1_.stats().packets_enforcement_drop, 0u);
+  // The neighbor gets the datagram as sent, one hop on: ECN CE, DF clear
+  // and the identification kept, in an untagged frame without padding.
+  ASSERT_EQ(n1_.frames.size(), 1u);
+  EXPECT_FALSE(n1_.frames[0].has_vlan);
+  EXPECT_EQ(n1_.frames[0].payload, after_one_hop(sent));
   send(0x0);  // Not-ECT: the filter really reads the TOS byte
   EXPECT_EQ(n1_.received_from_experiment, 1);
   EXPECT_EQ(e1_.stats().packets_enforcement_drop, 1u);
+}
+
+TEST_F(DelegationTest, MuxDeliveryKeepsTheDatagramAsSent) {
+  // Neighbor -> experiment: the mux path rewrites only TTL, checksum and
+  // MACs, and delivers untagged and unpadded.
+  const Bytes sent =
+      raw_datagram(kDestHost, Ipv4Address(184, 164, 224, 1), 0x3);
+  n1_.host.interface(0).send(tagged_padded_frame(mac(1), mac(11), sent));
+  settle(Duration::seconds(1));
+  ASSERT_EQ(x1_.received.size(), 1u);
+  const ether::EthernetFrame& frame = x1_.received[0].second;
+  EXPECT_FALSE(frame.has_vlan);
+  EXPECT_EQ(frame.dst, mac(21));
+  EXPECT_EQ(frame.payload, after_one_hop(sent));
 }
 
 TEST_F(DelegationTest, ExperimentsAreIsolatedFromEachOther) {
